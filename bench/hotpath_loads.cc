@@ -19,16 +19,24 @@
  * (scalar vs batched) are asserted equal right here, and refactors
  * can diff digests against a baseline run.
  *
- * LVA_HOTPATH_LOADS scales the timed loop (default 4,000,000 loads
- * per scenario; CI uses a small value for a schema smoke test).
- * LVA_HOTPATH_REPS repeats each scenario (default 3) and reports the
- * fastest repetition — the standard noise-robust estimator on busy
- * hosts; every repetition must produce the identical value_digest.
+ * A fourth scenario, fs_replay, covers phase 2: fluidanimate is
+ * recorded once at a small fixed scale and its precise baseline is
+ * replayed through the full-system timing model. Its "loads" are trace
+ * events, and its digest folds the replay's cycles, instructions, L2
+ * accesses and flit hops.
+ *
+ * LVA_HOTPATH_LOADS scales the timed loop of the three phase-1
+ * scenarios (default 4,000,000 loads per scenario; CI uses a small
+ * value for a schema smoke test). LVA_HOTPATH_REPS repeats each
+ * scenario (default 3) and reports the fastest repetition — the
+ * standard noise-robust estimator on busy hosts; every repetition must
+ * produce the identical value_digest.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -37,11 +45,14 @@
 #include "util/logging.hh"
 
 #include "core/approx_memory.hh"
+#include "cpu/trace.hh"
+#include "sim/full_system.hh"
 #include "util/bench_timer.hh"
 #include "util/checkpoint.hh"
 #include "util/env_knob.hh"
 #include "util/random.hh"
 #include "util/results_dir.hh"
+#include "workloads/workload.hh"
 
 namespace lva {
 namespace {
@@ -139,6 +150,25 @@ struct ScenarioResult
 };
 
 /**
+ * Fold repetition @p r of a scenario into @p out: every repetition
+ * must produce the same digest, and the fastest one is reported.
+ */
+void
+recordRepetition(ScenarioResult &out, u32 r, u64 digest, double secs)
+{
+    const std::string hex = hexU64(digest);
+    if (r == 0)
+        out.valueDigest = hex;
+    else
+        lva_assert(hex == out.valueDigest,
+                   "%s: digest drift across repetitions (%s vs %s)",
+                   out.name.c_str(), hex.c_str(),
+                   out.valueDigest.c_str());
+    if (r == 0 || secs < out.seconds)
+        out.seconds = secs;
+}
+
+/**
  * Replay @p n loads through the scalar (per-call) entry point and
  * fold every returned value into the digest.
  */
@@ -213,17 +243,51 @@ runScenario(const std::string &name, const ApproxMemory::Config &cfg,
         const double secs = timer.seconds();
         mem.finish();
 
-        const std::string hex = hexU64(digest);
-        if (r == 0)
-            out.valueDigest = hex;
-        else
-            lva_assert(hex == out.valueDigest,
-                       "%s: digest drift across repetitions (%s vs "
-                       "%s)",
-                       name.c_str(), hex.c_str(),
-                       out.valueDigest.c_str());
-        if (r == 0 || secs < out.seconds)
-            out.seconds = secs;
+        recordRepetition(out, r, digest, secs);
+    }
+    return out;
+}
+
+/** Working-set scale of the fs_replay recording (~2.4M events). */
+constexpr double kFsScale = 0.25;
+
+/** Fold every double's bit pattern, so any timing drift shows. */
+inline u64
+foldDouble(u64 digest, double v)
+{
+    u64 bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return foldWord(digest, bits);
+}
+
+/**
+ * Record fluidanimate once (outside the timed region), then replay the
+ * precise baseline @p reps times, timing run() alone.
+ */
+ScenarioResult
+runFsReplay(u32 reps)
+{
+    WorkloadParams params;
+    params.scale = kFsScale;
+    auto workload = makeWorkload("fluidanimate", params);
+    workload->generate();
+    TraceRecorder recorder(params.threads);
+    workload->run(recorder);
+
+    ScenarioResult out;
+    out.name = "fs_replay";
+    out.loads = recorder.totalEvents();
+    for (u32 r = 0; r < reps; ++r) {
+        FullSystemSim sim(FullSystemConfig::baseline());
+        BenchTimer timer("hotpath_loads/fs_replay");
+        const FullSystemResult res = sim.run(recorder.traces());
+        const double secs = timer.seconds();
+
+        u64 digest = foldDouble(0xcbf29ce484222325ULL, res.cycles);
+        digest = foldWord(digest, res.instructions);
+        digest = foldWord(digest, res.l2Accesses);
+        digest = foldWord(digest, res.flitHops);
+        recordRepetition(out, r, digest, secs);
     }
     return out;
 }
@@ -295,6 +359,7 @@ main()
                "batched replay diverged from scalar (%s vs %s)",
                scenarios[2].valueDigest.c_str(),
                scenarios[1].valueDigest.c_str());
+    scenarios.push_back(runFsReplay(reps));
 
     std::printf("\n%-18s %14s %12s  %s\n", "scenario", "loads/sec",
                 "seconds", "value_digest");

@@ -14,8 +14,9 @@
 #ifndef LVA_CPU_OOO_CORE_HH
 #define LVA_CPU_OOO_CORE_HH
 
-#include <deque>
+#include <algorithm>
 
+#include "util/fixed_ring.hh"
 #include "util/types.hh"
 
 namespace lva {
@@ -30,11 +31,19 @@ struct CoreConfig
 /**
  * Per-core replay state: virtual time plus the outstanding demand-miss
  * window that models ROB occupancy.
+ *
+ * Every outstanding miss holds a ROB entry, so at most robEntries are
+ * in flight and the window is a fixed ring of that size.
  */
 class OoOCore
 {
   public:
-    explicit OoOCore(const CoreConfig &config) : config_(config) {}
+    explicit OoOCore(const CoreConfig &config)
+        : config_(config),
+          outstanding_(std::max<u32>(config.robEntries, 1))
+    {}
+
+    // lva-hot-path: begin
 
     /** Current core time in cycles. */
     double now() const { return now_; }
@@ -56,7 +65,7 @@ class OoOCore
                     // its data arrives.
                     if (now_ < oldest.completion)
                         now_ = oldest.completion;
-                    outstanding_.pop_front();
+                    outstanding_.pop();
                     continue;
                 }
                 const u64 room = limit - instrCount_;
@@ -86,7 +95,7 @@ class OoOCore
     demandMiss(double completion)
     {
         executeInstructions(1);
-        outstanding_.push_back(PendingMiss{instrCount_, completion});
+        outstanding_.push(PendingMiss{instrCount_, completion});
         ++demandMisses_;
         const double latency = completion - now_;
         missLatencySum_ += latency > 0.0 ? latency : 0.0;
@@ -115,7 +124,7 @@ class OoOCore
         while (!outstanding_.empty()) {
             if (now_ < outstanding_.front().completion)
                 now_ = outstanding_.front().completion;
-            outstanding_.pop_front();
+            outstanding_.pop();
         }
     }
 
@@ -143,14 +152,15 @@ class OoOCore
     {
         while (!outstanding_.empty() &&
                outstanding_.front().completion <= now_) {
-            outstanding_.pop_front();
+            outstanding_.pop();
         }
     }
+    // lva-hot-path: end
 
     CoreConfig config_;
     double now_ = 0.0;
     u64 instrCount_ = 0;
-    std::deque<PendingMiss> outstanding_;
+    FixedRing<PendingMiss> outstanding_;
     u64 demandMisses_ = 0;
     double missLatencySum_ = 0.0;
 };

@@ -14,6 +14,9 @@
 #ifndef LVA_CPU_TRACE_HH
 #define LVA_CPU_TRACE_HH
 
+#include <cstddef>
+#include <initializer_list>
+#include <new>
 #include <vector>
 
 #include "core/memory_backend.hh"
@@ -22,20 +25,78 @@
 
 namespace lva {
 
-/** One memory access in a per-thread trace. */
+/**
+ * One memory access in a per-thread trace. `pc`, `instrBefore` and the
+ * flags are laid out in Value's tail padding, so an event is 32 bytes.
+ */
 struct TraceEvent
 {
     Addr addr = 0;
-    Value value{};        ///< precise value (drives the approximator)
+    /** Precise value (drives the approximator). */
+    [[no_unique_address]] Value value{};
     LoadSiteId pc = 0;
     u32 instrBefore = 0;  ///< non-memory instructions since last event
     bool isLoad = true;
     bool approximable = false;
     bool dependsOnPrev = false; ///< address produced by previous load
 };
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent layout drifted");
 
-/** The access stream of one logical thread / core. */
-using ThreadTrace = std::vector<TraceEvent>;
+/**
+ * The access stream of one logical thread / core.
+ *
+ * Events live in one anonymous mapping that grows in fixed 2 MiB steps
+ * with mremap, which moves page tables rather than copying events. At
+ * most one step per trace is unused, and a destroyed trace returns its
+ * memory to the OS at once. The surface is the subset of std::vector
+ * the recorder, the replay loop and the trace file format use.
+ */
+class ThreadTrace
+{
+  public:
+    /** Events per growth step (2 MiB of 32-byte events). */
+    static constexpr std::size_t chunkEvents = std::size_t(1) << 16;
+
+    using const_iterator = const TraceEvent *;
+
+    ThreadTrace() = default;
+    ThreadTrace(std::initializer_list<TraceEvent> events);
+    ThreadTrace(const ThreadTrace &other);
+    ThreadTrace(ThreadTrace &&other) noexcept;
+    /** Copy and move assignment in one (copy-and-swap). */
+    ThreadTrace &operator=(ThreadTrace other) noexcept;
+    ~ThreadTrace();
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /** Events the mapping can hold. */
+    std::size_t capacity() const { return capacity_; }
+
+    const TraceEvent &operator[](std::size_t i) const { return data_[i]; }
+    TraceEvent &operator[](std::size_t i) { return data_[i]; }
+
+    void
+    push_back(const TraceEvent &ev)
+    {
+        if (size_ == capacity_)
+            growTo(capacity_ + chunkEvents);
+        ::new (static_cast<void *>(data_ + size_)) TraceEvent(ev);
+        ++size_;
+    }
+
+    const_iterator begin() const { return data_; }
+    const_iterator end() const { return data_ + size_; }
+
+  private:
+    /** Grow the mapping to hold @p events, rounded up to whole steps. */
+    void growTo(std::size_t events);
+
+    void swap(ThreadTrace &other) noexcept;
+
+    TraceEvent *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+};
 
 /**
  * MemoryBackend that records per-thread traces while returning precise
@@ -47,6 +108,9 @@ class TraceRecorder : public MemoryBackend
     explicit TraceRecorder(u32 threads = 4);
 
     void store(ThreadId tid, LoadSiteId pc, Addr addr) override;
+
+    /** Credit @p n non-memory instructions to @p tid's next event;
+     *  fatal if the count no longer fits the event's 32-bit field. */
     void tickInstructions(ThreadId tid, u64 n) override;
 
     const std::vector<ThreadTrace> &traces() const { return traces_; }

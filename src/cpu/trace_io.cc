@@ -122,8 +122,10 @@ readTraces(const std::string &path)
 
     std::vector<ThreadTrace> traces(threads);
     for (auto &trace : traces) {
+        // The count comes from the file: grow while reading rather
+        // than trusting it for an up-front allocation, so a short file
+        // claiming a huge count fails as truncated.
         const u64 count = readPod<u64>(in, path);
-        trace.reserve(count);
         for (u64 i = 0; i < count; ++i) {
             const auto rec = readPod<PackedEvent>(in, path);
             TraceEvent ev;

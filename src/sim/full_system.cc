@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/fixed_ring.hh"
 #include "util/logging.hh"
 
 namespace lva {
@@ -23,7 +24,8 @@ struct FullSystemSim::CoreCtx
               "block fetches cancelled by the degree counter")),
           missLatency(reg.histogram(
               prefix + ".missLatency", 0.0, 400.0, 20,
-              "effective L1 miss latency seen by the core", "cycles"))
+              "effective L1 miss latency seen by the core", "cycles")),
+          background(maxBackground)
     {
         if (config.lvaEnabled) {
             const ApproximatorConfig &variant =
@@ -58,8 +60,8 @@ struct FullSystemSim::CoreCtx
 
     /** Outstanding background fills (store buffer + training-fetch
      *  MSHRs): completions of requests the core did not wait for. */
-    std::deque<double> background;
-    static constexpr std::size_t maxBackground = 16;
+    static constexpr u32 maxBackground = 16;
+    FixedRing<double> background;
 
     /** Apply backpressure before issuing a new background request. */
     void
@@ -67,12 +69,12 @@ struct FullSystemSim::CoreCtx
     {
         while (!background.empty() &&
                background.front() <= core.now())
-            background.pop_front();
-        if (background.size() >= maxBackground) {
+            background.pop();
+        if (background.full()) {
             // Store buffer / MSHRs full: the core stalls until the
             // oldest background request completes.
             core.advanceTo(background.front());
-            background.pop_front();
+            background.pop();
         }
     }
 };
@@ -283,6 +285,7 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
 
     // Replay: always advance the core whose local clock is earliest,
     // so cross-core contention and coherence interleave plausibly.
+    // lva-hot-path: begin
     while (true) {
         CoreCtx *next = nullptr;
         u32 next_id = 0;
@@ -356,7 +359,7 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
                     if (resp.approximated) {
                         // Training fetch off the critical path,
                         // possibly over the deprioritized path.
-                        next->background.push_back(
+                        next->background.push(
                             done + config_.backgroundFetchExtraLatency);
                         next->approxMisses.inc();
                         next->missLatency.sample(1.0);
@@ -424,12 +427,13 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
                 const double done =
                     fetchBlock(next_id, block, true, next->core.now(),
                                /*background=*/true);
-                next->background.push_back(
+                next->background.push(
                     done + config_.backgroundFetchExtraLatency);
                 next->core.storeAccess();
             }
         }
     }
+    // lva-hot-path: end
 
     // Drain and collect.
     FullSystemResult result;

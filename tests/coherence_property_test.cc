@@ -81,9 +81,9 @@ TEST_P(CoherenceProperty, LvaOnSharedTrafficStaysSane)
     // Make half of the loads approximable.
     Rng rng(GetParam());
     for (auto &trace : traces)
-        for (auto &ev : trace)
-            if (ev.isLoad && rng.chance(0.5))
-                ev.approximable = true;
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            if (trace[i].isLoad && rng.chance(0.5))
+                trace[i].approximable = true;
 
     FullSystemSim base(FullSystemConfig::baseline());
     const FullSystemResult rb = base.run(traces);

@@ -44,7 +44,7 @@ TEST(NetFraming, RoundTripSmallEmptyAndBinary)
     const std::vector<std::string> payloads = {
         "{\"op\":\"ping\"}",
         "",
-        std::string("\x00\x01\xff\x7f bytes", 13),
+        std::string("\x00\x01\xff\x7f bytes", 10),
     };
     for (const std::string &sent : payloads) {
         writeFrame(p.client, sent, 1000);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "cpu/ooo_core.hh"
+#include "util/random.hh"
 
 namespace lva {
 namespace {
@@ -127,6 +130,156 @@ TEST_P(WidthSweep, ComputeScalesWithWidth)
 
 INSTANTIATE_TEST_SUITE_P(Widths, WidthSweep,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+/**
+ * The core model as it was with an unbounded std::deque miss window:
+ * the reference the fixed-ring OoOCore must match exactly.
+ */
+class DequeOoOCore
+{
+  public:
+    explicit DequeOoOCore(const CoreConfig &config) : config_(config) {}
+
+    double now() const { return now_; }
+    u64 instructionsRetired() const { return instrCount_; }
+    double missLatencySum() const { return missLatencySum_; }
+
+    void
+    executeInstructions(u64 n)
+    {
+        while (n > 0) {
+            drainCompleted();
+            if (!outstanding_.empty()) {
+                const PendingMiss &oldest = outstanding_.front();
+                const u64 limit =
+                    oldest.instrIndex + config_.robEntries - 1;
+                if (instrCount_ >= limit) {
+                    if (now_ < oldest.completion)
+                        now_ = oldest.completion;
+                    outstanding_.pop_front();
+                    continue;
+                }
+                const u64 room = limit - instrCount_;
+                const u64 take = n < room ? n : room;
+                advance(take);
+                n -= take;
+                continue;
+            }
+            advance(n);
+            n = 0;
+        }
+    }
+
+    void
+    demandMiss(double completion)
+    {
+        executeInstructions(1);
+        outstanding_.push_back(PendingMiss{instrCount_, completion});
+        const double latency = completion - now_;
+        missLatencySum_ += latency > 0.0 ? latency : 0.0;
+    }
+
+    void
+    advanceTo(double t)
+    {
+        if (t > now_)
+            now_ = t;
+    }
+
+    void
+    drainAll()
+    {
+        while (!outstanding_.empty()) {
+            if (now_ < outstanding_.front().completion)
+                now_ = outstanding_.front().completion;
+            outstanding_.pop_front();
+        }
+    }
+
+  private:
+    struct PendingMiss
+    {
+        u64 instrIndex;
+        double completion;
+    };
+
+    void
+    advance(u64 instructions)
+    {
+        instrCount_ += instructions;
+        now_ += static_cast<double>(instructions) /
+                static_cast<double>(config_.width);
+    }
+
+    void
+    drainCompleted()
+    {
+        while (!outstanding_.empty() &&
+               outstanding_.front().completion <= now_)
+            outstanding_.pop_front();
+    }
+
+    CoreConfig config_;
+    double now_ = 0.0;
+    u64 instrCount_ = 0;
+    std::deque<PendingMiss> outstanding_;
+    double missLatencySum_ = 0.0;
+};
+
+TEST(OoOCore, RingWindowMatchesDequeReference)
+{
+    Rng rng(0x00c0'4e11ULL);
+    for (int run = 0; run < 200; ++run) {
+        // Small ROBs keep the ring full often; miss bursts overlap
+        // and long latencies leave many misses in flight.
+        const CoreConfig cfg{static_cast<u32>(1 + rng.below(4)),
+                             static_cast<u32>(1 + rng.below(40))};
+        OoOCore ring(cfg);
+        DequeOoOCore ref(cfg);
+        for (int op = 0; op < 2000; ++op) {
+            switch (rng.below(8)) {
+              case 0:
+              case 1: {
+                const u64 n = rng.below(3) == 0 ? rng.below(200)
+                                                : rng.below(4);
+                ring.executeInstructions(n);
+                ref.executeInstructions(n);
+                break;
+              }
+              case 2:
+              case 3:
+              case 4:
+              case 5: {
+                const double done =
+                    ring.now() + rng.uniform(-5.0, 400.0);
+                ring.demandMiss(done);
+                ref.demandMiss(done);
+                break;
+              }
+              case 6: {
+                const double t = ring.now() + rng.uniform(-10.0, 50.0);
+                ring.advanceTo(t);
+                ref.advanceTo(t);
+                break;
+              }
+              default:
+                if (rng.below(20) == 0) {
+                    ring.drainAll();
+                    ref.drainAll();
+                }
+            }
+            ASSERT_EQ(ring.now(), ref.now()) << "run " << run;
+            ASSERT_EQ(ring.instructionsRetired(),
+                      ref.instructionsRetired());
+            ASSERT_EQ(ring.missLatencySum(), ref.missLatencySum());
+        }
+        ring.drainAll();
+        ref.drainAll();
+        EXPECT_EQ(ring.now(), ref.now());
+        EXPECT_EQ(ring.instructionsRetired(), ref.instructionsRetired());
+        EXPECT_EQ(ring.missLatencySum(), ref.missLatencySum());
+    }
+}
 
 } // namespace
 } // namespace lva

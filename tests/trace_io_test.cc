@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "cpu/trace_io.hh"
 #include "sim/full_system.hh"
+#include "util/checkpoint.hh"
 #include "util/random.hh"
 
 namespace lva {
@@ -80,6 +83,29 @@ TEST(TraceIo, RoundTripPreservesEverything)
     std::filesystem::remove(path);
 }
 
+TEST(TraceIo, RoundTripOfWholeGrowthSteps)
+{
+    // Traces that end exactly on a growth-step boundary, grown in turn:
+    // every event must be written, and the file must hold exactly the
+    // header's count of 32-byte records.
+    const std::string path = "test_trace_steps.bin";
+    const std::size_t n = 2 * ThreadTrace::chunkEvents;
+    std::vector<ThreadTrace> traces(2);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (u32 t = 0; t < 2; ++t) {
+            TraceEvent ev;
+            ev.addr = 64 * i + t;
+            ev.value = Value::fromInt(static_cast<i64>(i) - t);
+            ev.instrBefore = static_cast<u32>(i % 31);
+            traces[t].push_back(ev);
+        }
+    }
+    writeTraces(traces, path);
+    EXPECT_EQ(std::filesystem::file_size(path), 12 + 2 * (8 + 32 * n));
+    expectEqual(traces, readTraces(path));
+    std::filesystem::remove(path);
+}
+
 TEST(TraceIo, EmptyThreadsSurvive)
 {
     const std::string path = "test_trace_empty.bin";
@@ -106,6 +132,47 @@ TEST(TraceIo, ReplayOfLoadedTraceMatchesOriginal)
     EXPECT_DOUBLE_EQ(ra.cycles, rb.cycles);
     EXPECT_EQ(ra.l1Misses, rb.l1Misses);
     EXPECT_EQ(ra.approxMisses, rb.approxMisses);
+    std::filesystem::remove(path);
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(TraceIo, FileBytesArePinned)
+{
+    // The LVATRC1 bytes of a fixed trace, pinned: a change to the
+    // in-memory event layout must not move the on-disk format, and
+    // files written before such a change must still read back.
+    const std::string path = "test_trace_pinned.bin";
+    writeTraces(randomTraces(42), path);
+    const std::string bytes = slurp(path);
+    EXPECT_EQ(bytes.size(), 14956u);
+    EXPECT_EQ(hexU64(fnv1a64(bytes)), "d25c6d5031bd584f");
+    expectEqual(randomTraces(42), readTraces(path));
+    std::filesystem::remove(path);
+}
+
+TEST(TraceIo, HugeEventCountInShortFileIsTruncated)
+{
+    // A 20-byte file whose header claims 2^40 events must fail as
+    // truncated, not attempt a multi-terabyte allocation.
+    const std::string path = "test_trace_hostile.bin";
+    {
+        std::ofstream out(path, std::ios::binary);
+        const u32 threads = 1;
+        const u64 count = u64(1) << 40;
+        out.write("LVATRC1\n", 8);
+        out.write(reinterpret_cast<const char *>(&threads),
+                  sizeof(threads));
+        out.write(reinterpret_cast<const char *>(&count), sizeof(count));
+    }
+    EXPECT_EXIT(readTraces(path), ::testing::ExitedWithCode(1),
+                "truncated");
     std::filesystem::remove(path);
 }
 
