@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "cpu/trace.hh"
 #include "eval/fullsystem_eval.hh"
 #include "eval/sweep.hh"
 #include "sim/machine_config.hh"
@@ -51,31 +50,22 @@ main(int argc, char **argv)
         names.size(),
         [&](u64 i) {
             const std::string &name = names[i];
-            WorkloadParams params;
-            params.seed = 1;
-            params.scale = fsScaleFromEnv();
-            params.threads = machine.cores;
-            auto w = makeWorkload(name, params);
-            w->generate();
-            TraceRecorder rec(params.threads);
-            w->run(rec);
-
-            auto run = [&](CoherenceProtocol proto, bool lva_on) {
-                FullSystemConfig cfg =
-                    machine.fullSystem(lva_on, /*degree=*/4);
-                cfg.protocol = proto;
-                FullSystemSim sim(cfg);
-                return sim.run(rec.traces());
-            };
-
-            const FullSystemResult msi_base =
-                run(CoherenceProtocol::Msi, false);
-            const FullSystemResult msi_lva =
-                run(CoherenceProtocol::Msi, true);
-            const FullSystemResult mesi_base =
-                run(CoherenceProtocol::Mesi, false);
-            const FullSystemResult mesi_lva =
-                run(CoherenceProtocol::Mesi, true);
+            // MSI base, MSI LVA, MESI base, MESI LVA.
+            std::vector<FullSystemConfig> cfgs;
+            for (CoherenceProtocol proto :
+                 {CoherenceProtocol::Msi, CoherenceProtocol::Mesi})
+                for (bool lva_on : {false, true}) {
+                    FullSystemConfig cfg =
+                        machine.fullSystem(lva_on, /*degree=*/4);
+                    cfg.protocol = proto;
+                    cfgs.push_back(cfg);
+                }
+            const std::vector<FullSystemResult> runs = replayConfigs(
+                recordPreciseTraces(name, 1, 0.0, &machine), cfgs);
+            const FullSystemResult &msi_base = runs[0];
+            const FullSystemResult &msi_lva = runs[1];
+            const FullSystemResult &mesi_base = runs[2];
+            const FullSystemResult &mesi_lva = runs[3];
 
             auto cycles = [](const FullSystemResult &r) {
                 return r.stats.valueOf("system.cycles");

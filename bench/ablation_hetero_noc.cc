@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "cpu/trace.hh"
 #include "eval/fullsystem_eval.hh"
 #include "eval/sweep.hh"
 #include "sim/machine_config.hh"
@@ -49,29 +48,18 @@ main(int argc, char **argv)
         names.size(),
         [&](u64 i) {
             const std::string &name = names[i];
-            WorkloadParams params;
-            params.seed = 1;
-            params.scale = fsScaleFromEnv();
-            params.threads = machine.cores;
-            auto w = makeWorkload(name, params);
-            w->generate();
-            TraceRecorder rec(params.threads);
-            w->run(rec);
-
-            FullSystemSim base_sim(machine.fullSystem(false));
-            const FullSystemResult base = base_sim.run(rec.traces());
-
             // The homo/hetero legs are the ablation axis, so they
             // override whatever the machine file says.
             FullSystemConfig homo_cfg = machine.fullSystem(true, 4);
             homo_cfg.heteroNoc = false;
-            FullSystemSim homo_sim(homo_cfg);
-            const FullSystemResult homo = homo_sim.run(rec.traces());
-
             FullSystemConfig hetero_cfg = machine.fullSystem(true, 4);
             hetero_cfg.heteroNoc = true;
-            FullSystemSim hetero_sim(hetero_cfg);
-            const FullSystemResult hetero = hetero_sim.run(rec.traces());
+            const std::vector<FullSystemResult> runs = replayConfigs(
+                recordPreciseTraces(name, 1, 0.0, &machine),
+                {machine.fullSystem(false), homo_cfg, hetero_cfg});
+            const FullSystemResult &base = runs[0];
+            const FullSystemResult &homo = runs[1];
+            const FullSystemResult &hetero = runs[2];
 
             auto cycles = [](const FullSystemResult &r) {
                 return r.stats.valueOf("system.cycles");

@@ -9,8 +9,8 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
-#include "cpu/trace.hh"
 #include "eval/fullsystem_eval.hh"
 #include "eval/sweep.hh"
 #include "sim/machine_config.hh"
@@ -49,36 +49,29 @@ main(int argc, char **argv)
         names.size(),
         [&](u64 i) {
             const std::string &name = names[i];
-            WorkloadParams params;
-            params.seed = 1;
-            params.scale = fsScaleFromEnv();
-            params.threads = machine.cores;
-            auto w = makeWorkload(name, params);
-            w->generate();
-            TraceRecorder rec(params.threads);
-            w->run(rec);
-
-            FullSystemSim base_sim(machine.fullSystem(false));
-            const FullSystemResult base = base_sim.run(rec.traces());
+            // The extra latency is the ablation axis; it overrides
+            // the machine file's setting.
+            std::vector<FullSystemConfig> cfgs = {machine.fullSystem(false)};
+            for (u32 extra : extras) {
+                FullSystemConfig cfg = machine.fullSystem(true, 4);
+                cfg.backgroundFetchExtraLatency = extra;
+                cfgs.push_back(cfg);
+            }
+            const std::vector<FullSystemResult> runs = replayConfigs(
+                recordPreciseTraces(name, 1, 0.0, &machine), cfgs);
             const double base_cycles =
-                base.stats.valueOf("system.cycles");
+                runs[0].stats.valueOf("system.cycles");
 
             WorkRes res;
             res.row = {name};
-            res.snaps = {{name + "/baseline", name, base.stats}};
-            for (u32 extra : extras) {
-                // The extra latency is the ablation axis; it
-                // overrides the machine file's setting.
-                FullSystemConfig cfg = machine.fullSystem(true, 4);
-                cfg.backgroundFetchExtraLatency = extra;
-                FullSystemSim sim(cfg);
-                const FullSystemResult r = sim.run(rec.traces());
+            res.snaps = {{name + "/baseline", name, runs[0].stats}};
+            for (std::size_t k = 0; k < std::size(extras); ++k) {
+                const StatSnapshot &st = runs[k + 1].stats;
                 res.row.push_back(fmtPercent(
-                    base_cycles / r.stats.valueOf("system.cycles") - 1.0,
-                    1));
+                    base_cycles / st.valueOf("system.cycles") - 1.0, 1));
                 res.snaps.push_back(
-                    {name + "/extra-" + std::to_string(extra), name,
-                     r.stats});
+                    {name + "/extra-" + std::to_string(extras[k]), name,
+                     st});
             }
             return res;
         },

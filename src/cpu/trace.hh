@@ -114,6 +114,9 @@ class TraceRecorder : public MemoryBackend
     void tickInstructions(ThreadId tid, u64 n) override;
 
     const std::vector<ThreadTrace> &traces() const { return traces_; }
+
+    /** Move the recorded traces out, leaving the recorder empty. */
+    std::vector<ThreadTrace> takeTraces() { return std::move(traces_); }
     u32 threads() const { return static_cast<u32>(traces_.size()); }
 
     /** Total events recorded across all threads. */

@@ -4,6 +4,7 @@
 #include "sim/machine_config.hh"
 #include "util/env_knob.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 #include "workloads/workload.hh"
 
 namespace lva {
@@ -14,10 +15,9 @@ fsScaleFromEnv()
     return envKnobF64("LVA_SCALE", 1.0, 1e-6, 4.0);
 }
 
-FsSweep
-runFullSystemSweep(const std::string &workload,
-                   const std::vector<u32> &degrees, u64 seed,
-                   double scale, const MachineConfig *machine)
+std::vector<ThreadTrace>
+recordPreciseTraces(const std::string &workload, u64 seed, double scale,
+                    const MachineConfig *machine)
 {
     WorkloadParams params;
     params.seed = seed;
@@ -25,29 +25,49 @@ runFullSystemSweep(const std::string &workload,
     if (machine != nullptr)
         params.threads = machine->cores;
 
-    // Record the precise execution once.
     auto w = makeWorkload(workload, params);
     w->generate();
     TraceRecorder recorder(params.threads);
     w->run(recorder);
+    return recorder.takeTraces();
+}
+
+std::vector<FullSystemResult>
+replayConfigs(const std::vector<ThreadTrace> &traces,
+              const std::vector<FullSystemConfig> &configs)
+{
+    std::vector<FullSystemResult> results(configs.size());
+    ThreadPool::forEachIndex(configs.size(), [&](u64 i) {
+        FullSystemSim sim(configs[i]);
+        results[i] = sim.run(traces);
+    });
+    return results;
+}
+
+FsSweep
+runFullSystemSweep(const std::string &workload,
+                   const std::vector<u32> &degrees, u64 seed,
+                   double scale, const MachineConfig *machine)
+{
+    // Baseline first, then one LVA configuration per degree.
+    std::vector<FullSystemConfig> configs;
+    configs.push_back(machine != nullptr
+                          ? machine->fullSystem(/*lvaEnabled=*/false)
+                          : FullSystemConfig::baseline());
+    for (u32 d : degrees)
+        configs.push_back(machine != nullptr
+                              ? machine->fullSystem(/*lvaEnabled=*/true, d)
+                              : FullSystemConfig::lva(d));
+
+    std::vector<FullSystemResult> runs = replayConfigs(
+        recordPreciseTraces(workload, seed, scale, machine), configs);
 
     FsSweep sweep;
     sweep.workload = workload;
     sweep.degrees = degrees;
-
-    {
-        FullSystemSim sim(machine != nullptr
-                              ? machine->fullSystem(/*lvaEnabled=*/false)
-                              : FullSystemConfig::baseline());
-        sweep.baseline = sim.run(recorder.traces());
-    }
-    for (u32 d : degrees) {
-        FullSystemSim sim(machine != nullptr
-                              ? machine->fullSystem(/*lvaEnabled=*/true,
-                                                    d)
-                              : FullSystemConfig::lva(d));
-        sweep.lva.push_back(sim.run(recorder.traces()));
-    }
+    sweep.baseline = std::move(runs.front());
+    sweep.lva.assign(std::make_move_iterator(runs.begin() + 1),
+                     std::make_move_iterator(runs.end()));
     return sweep;
 }
 

@@ -96,6 +96,27 @@ struct FsSweep
 struct MachineConfig;
 
 /**
+ * Record @p workload's precise execution (given seed/scale; scale
+ * 0 = fsScaleFromEnv()) as one trace per thread. @p machine sets the
+ * thread count; null = the workload default, as in the Table II
+ * machine.
+ */
+std::vector<ThreadTrace>
+recordPreciseTraces(const std::string &workload, u64 seed, double scale,
+                    const MachineConfig *machine);
+
+/**
+ * Replay @p traces once per configuration: results[i] is the run
+ * under configs[i]. Called from a sweep-pool task, the replays fan
+ * out across that pool (ThreadPool::forEachIndex); elsewhere they
+ * run serially in order. Results are stored by index, so the output
+ * is identical either way.
+ */
+std::vector<FullSystemResult>
+replayConfigs(const std::vector<ThreadTrace> &traces,
+              const std::vector<FullSystemConfig> &configs);
+
+/**
  * Record @p workload's trace (precise run, given seed/scale) and
  * replay it under the baseline and under LVA at each degree.
  * @p machine selects the CMP topology (thread count, cache/NoC

@@ -1,11 +1,108 @@
 #include "util/thread_pool.hh"
 
+#include <algorithm>
+#include <exception>
 #include <stdexcept>
 
 #include "util/env_knob.hh"
 #include "util/logging.hh"
 
 namespace lva {
+
+namespace {
+
+// The pool whose worker is running on this thread; null elsewhere.
+// Lets forEachIndex() find the pool of the task calling it (mutable
+// state is legal in src/util/).
+thread_local ThreadPool *current_pool = nullptr;
+
+/**
+ * One forEachIndex() call's shared state. Claims, completions and the
+ * first error share one mutex, so "no claim after a failure" and "no
+ * claim once the caller may return" are each a single locked step.
+ * Helpers hold it by shared_ptr: one that starts after the caller
+ * returned finds nothing to claim and never touches @c fn.
+ */
+struct Fanout
+{
+    const std::function<void(u64)> &fn;
+    const u64 n;
+    const bool isolate; ///< the caller ran under ScopedFailureIsolation
+
+    std::mutex mutex;
+    std::condition_variable idle;
+    u64 next = 0;    ///< next unclaimed index
+    u64 running = 0; ///< claimed indices not yet finished
+    bool closed = false; ///< no more claims: all taken, or a failure
+    std::exception_ptr error;
+
+    Fanout(const std::function<void(u64)> &f, u64 count, bool iso)
+        : fn(f), n(count), isolate(iso)
+    {
+    }
+
+    /** Claim and run indices until none is left or one has failed. */
+    void
+    drain()
+    {
+        for (;;) {
+            u64 i = 0;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (closed)
+                    return;
+                i = next++;
+                if (next == n)
+                    closed = true;
+                ++running;
+            }
+            std::exception_ptr err;
+            try {
+                if (isolate) {
+                    ScopedFailureIsolation scope;
+                    fn(i);
+                } else {
+                    fn(i);
+                }
+            } catch (...) {
+                err = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (err && !error) {
+                error = err;
+                closed = true;
+            }
+            if (--running == 0 && closed)
+                idle.notify_all();
+        }
+    }
+};
+
+} // namespace
+
+void
+ThreadPool::forEachIndex(u64 n, const std::function<void(u64)> &fn)
+{
+    ThreadPool *const pool = current_pool;
+    if (pool == nullptr || n < 2) {
+        for (u64 i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    auto fanout =
+        std::make_shared<Fanout>(fn, n, failureIsolationActive());
+    const u64 helpers = std::min<u64>(n - 1, pool->size());
+    for (u64 h = 0; h < helpers; ++h)
+        if (!pool->tryEnqueue([fanout] { fanout->drain(); }))
+            break; // stopping: the caller runs the rest itself
+
+    fanout->drain();
+    std::unique_lock<std::mutex> lock(fanout->mutex);
+    fanout->idle.wait(lock, [&] { return fanout->running == 0; });
+    if (fanout->error)
+        std::rethrow_exception(fanout->error);
+}
 
 u32
 ThreadPool::defaultJobs()
@@ -42,15 +139,22 @@ ThreadPool::submitted() const
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
+    if (!tryEnqueue(std::move(task)))
+        throw std::runtime_error("ThreadPool::submit after shutdown");
+}
+
+bool
+ThreadPool::tryEnqueue(std::function<void()> task)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)
-            throw std::runtime_error(
-                "ThreadPool::submit after shutdown");
+            return false;
         queue_.push_back(std::move(task));
         ++submitted_;
     }
     wake_.notify_one();
+    return true;
 }
 
 void
@@ -70,6 +174,7 @@ ThreadPool::shutdown()
 void
 ThreadPool::workerLoop()
 {
+    current_pool = this;
     for (;;) {
         std::function<void()> task;
         {

@@ -7,6 +7,11 @@
  * (or its exception). With a single worker the pool degenerates to a
  * strict serial queue, which the sweep engine uses to reproduce the
  * historical serial evaluation order exactly.
+ *
+ * forEachIndex() is the nested fan-out: a task already running on a
+ * pool worker spreads independent sub-work (one recorded trace's
+ * replays) over the same pool, taking part in it itself, so a
+ * straggler task no longer runs its sub-work serially.
  */
 
 #ifndef LVA_UTIL_THREAD_POOL_HH
@@ -74,6 +79,27 @@ class ThreadPool
     void shutdown();
 
     /**
+     * Call @p fn(i) once for every i in [0, n); return when all calls
+     * have finished.
+     *
+     * Outside a pool worker (the LVA_JOBS=1 serial path, plain
+     * callers) this is the plain loop in index order. On a pool
+     * worker it enqueues up to min(n - 1, size()) helper tasks at the
+     * back of that worker's pool; the caller and the helpers claim
+     * indices from one shared counter. The caller waits only for
+     * indices already claimed, never for a helper that has not
+     * started, so nesting cannot deadlock at any pool size. Helpers
+     * queue behind work submitted earlier, and a stopping pool gets
+     * no helpers at all: the caller then runs every index itself.
+     *
+     * Helpers inherit the caller's ScopedFailureIsolation. After the
+     * first exception no further index is claimed; once the claimed
+     * ones finish, that exception is rethrown here. @p fn must be
+     * safe to call concurrently for distinct indices.
+     */
+    static void forEachIndex(u64 n, const std::function<void(u64)> &fn);
+
+    /**
      * Parallelism requested via the environment: LVA_JOBS if set to a
      * sane value, otherwise std::thread::hardware_concurrency().
      * LVA_JOBS=1 selects the serial path.
@@ -82,6 +108,8 @@ class ThreadPool
 
   private:
     void enqueue(std::function<void()> task);
+    /** enqueue() that returns false instead of throwing once stopping. */
+    bool tryEnqueue(std::function<void()> task);
     void workerLoop();
 
     mutable std::mutex mutex_;

@@ -8,6 +8,7 @@
 
 #include "cpu/trace.hh"
 #include "eval/fullsystem_eval.hh"
+#include "eval/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace lva {
@@ -79,6 +80,27 @@ TEST(Integration, NormalizedEdpBelowOneForAmenableWorkloads)
         runFullSystemSweep("bodytrack", {0, 16}, 1, 0.1);
     EXPECT_LT(sweep.normMissEdp(0), 1.0);
     EXPECT_LT(sweep.normMissEdp(1), sweep.normMissEdp(0));
+}
+
+TEST(Integration, ReplayFanOutInsideAPoolMatchesSerial)
+{
+    // Inside a pool task the replays fan out across the pool's
+    // workers (ThreadPool::forEachIndex); the stats must be the same
+    // bits as the serial loop's, in the same order.
+    const std::vector<u32> degrees = {0, 4, 16};
+    const auto render = [](const FsSweep &s) {
+        return renderStatsJson("fanout", fsSweepSnapshots({s}));
+    };
+    const std::string serial =
+        render(runFullSystemSweep("canneal", degrees, 1, 0.05));
+
+    SweepRunner runner(4);
+    const auto mapped = runner.mapChecked(2, [&](u64) {
+        return render(runFullSystemSweep("canneal", degrees, 1, 0.05));
+    });
+    ASSERT_TRUE(mapped.ok());
+    EXPECT_EQ(*mapped.results[0], serial);
+    EXPECT_EQ(*mapped.results[1], serial);
 }
 
 } // namespace

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace lva {
@@ -142,6 +146,197 @@ TEST(ThreadPool, DefaultJobsParsesStrictly)
     ::setenv("LVA_JOBS", "256", 1);
     EXPECT_EQ(ThreadPool::defaultJobs(), 256u);
     ::unsetenv("LVA_JOBS");
+}
+
+
+// ---- forEachIndex: the nested fan-out ---------------------------------
+
+TEST(ForEachIndex, OutsideAPoolIsThePlainSerialLoop)
+{
+    // No pool on this thread: indices run here, in order.
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<u64> order;
+    ThreadPool::forEachIndex(5, [&](u64 i) {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<u64>{0, 1, 2, 3, 4}));
+}
+
+TEST(ForEachIndex, NestsInsideASingleWorkerPool)
+{
+    // The only worker is busy running the caller, so the helper it
+    // enqueues cannot start until the caller returns: the caller must
+    // run every index itself instead of waiting for the helper.
+    ThreadPool pool(1);
+    std::vector<u64> order;
+    auto done = pool.submit([&] {
+        ThreadPool::forEachIndex(8, [&](u64 i) { order.push_back(i); });
+        return true;
+    });
+    EXPECT_TRUE(done.get());
+    EXPECT_EQ(order, (std::vector<u64>{0, 1, 2, 3, 4, 5, 6, 7}));
+    pool.shutdown();
+    EXPECT_EQ(pool.submitted(), 2u); // the outer task plus one helper
+}
+
+TEST(ForEachIndex, EveryIndexRunsExactlyOnce)
+{
+    ThreadPool pool(4);
+    const u64 size = pool.size();
+    for (u64 n : {u64(0), u64(1), u64(2), size, 3 * size + 1}) {
+        const u64 before = pool.submitted();
+        std::vector<std::atomic<int>> hits(n);
+        auto done = pool.submit([&] {
+            ThreadPool::forEachIndex(n, [&](u64 i) { ++hits[i]; });
+            return true;
+        });
+        EXPECT_TRUE(done.get());
+        for (u64 i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+        // min(n - 1, size) helpers ride along; none for n < 2.
+        const u64 helpers = pool.submitted() - before - 1;
+        EXPECT_EQ(helpers, n > 1 ? std::min(n - 1, size) : 0)
+            << "n=" << n;
+    }
+}
+
+TEST(ForEachIndex, ReallyRunsOnSeveralWorkers)
+{
+    // Two indices that each wait for the other to have started can
+    // only finish if a helper runs one while the caller runs the
+    // other.
+    ThreadPool pool(2);
+    std::mutex m;
+    std::condition_variable cv;
+    int started = 0;
+    auto done = pool.submit([&] {
+        ThreadPool::forEachIndex(2, [&](u64) {
+            std::unique_lock<std::mutex> lock(m);
+            ++started;
+            cv.notify_all();
+            cv.wait(lock, [&] { return started == 2; });
+        });
+        return true;
+    });
+    EXPECT_TRUE(done.get());
+}
+
+TEST(ForEachIndex, FirstExceptionReachesTheCallerAndStopsClaims)
+{
+    // With one worker the caller runs the indices in order, so
+    // exactly the indices up to the failing one start.
+    ThreadPool pool(1);
+    std::vector<u64> started;
+    auto done = pool.submit([&] {
+        ThreadPool::forEachIndex(10, [&](u64 i) {
+            started.push_back(i);
+            if (i == 3)
+                throw std::runtime_error("index 3 failed");
+        });
+    });
+    try {
+        done.get();
+        FAIL() << "the exception did not reach the caller";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "index 3 failed");
+    }
+    EXPECT_EQ(started, (std::vector<u64>{0, 1, 2, 3}));
+}
+
+TEST(ForEachIndex, CallerWaitsForClaimedIndicesBeforeRethrowing)
+{
+    // Concurrently: the failure is rethrown only after every index
+    // that did start has finished, and far fewer than n start.
+    ThreadPool pool(4);
+    constexpr u64 n = 1000;
+    std::atomic<int> running{0};
+    std::atomic<u64> started{0};
+    auto done = pool.submit([&] {
+        try {
+            ThreadPool::forEachIndex(n, [&](u64 i) {
+                ++running;
+                ++started;
+                if (i == 5) {
+                    --running;
+                    throw std::runtime_error("boom");
+                }
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+                --running;
+            });
+        } catch (const std::runtime_error &) {
+            return running.load();
+        }
+        return -1;
+    });
+    EXPECT_EQ(done.get(), 0);
+    EXPECT_LT(started.load(), n);
+}
+
+TEST(ForEachIndex, IsolationIsCarriedIntoHelpers)
+{
+    // A tripped lva_assert in a helper must surface as IsolatedError
+    // at the isolated caller, not abort the process. The caller
+    // blocks its own index until the failing one has run elsewhere.
+    ThreadPool pool(2);
+    std::atomic<bool> helper_done{false};
+    auto done = pool.submit([&] {
+        const std::thread::id caller = std::this_thread::get_id();
+        ScopedFailureIsolation isolate;
+        try {
+            ThreadPool::forEachIndex(2, [&](u64 i) {
+                if (std::this_thread::get_id() == caller) {
+                    while (!helper_done.load())
+                        std::this_thread::yield();
+                    return;
+                }
+                helper_done = true;
+                lva_assert(i > 99, "index %llu",
+                           static_cast<unsigned long long>(i));
+            });
+        } catch (const IsolatedError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    });
+    const std::string what = done.get();
+    EXPECT_NE(what.find("assertion 'i > 99' failed"), std::string::npos)
+        << what;
+}
+
+TEST(ForEachIndex, RunsInlineWhenThePoolIsStopping)
+{
+    // A task still running while the pool shuts down (for example one
+    // whose future a deadline abandoned) must not fail because it
+    // fans out: no helper can be enqueued, so the caller runs all.
+    ThreadPool pool(2);
+    std::atomic<bool> release{false};
+    std::atomic<int> hits{0};
+    auto straggler = pool.submit([&] {
+        while (!release.load())
+            std::this_thread::yield();
+        ThreadPool::forEachIndex(5, [&](u64) { ++hits; });
+        return true;
+    });
+    std::thread stopper([&] { pool.shutdown(); });
+    // shutdown() has set the stopping flag once submit() throws.
+    for (;;) {
+        try {
+            pool.submit([] {});
+        } catch (const std::runtime_error &) {
+            break;
+        }
+        std::this_thread::yield();
+    }
+    const u64 before = pool.submitted();
+    release = true;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = straggler.get());
+    stopper.join();
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(hits.load(), 5);
+    EXPECT_EQ(pool.submitted(), before); // no helper was enqueued
 }
 
 } // namespace

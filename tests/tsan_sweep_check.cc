@@ -6,14 +6,19 @@
  * Hammers the thread pool and the Evaluator's shared golden-run
  * cache from many workers, twice over (the second pass hits the warm
  * cache concurrently), and verifies the parallel results are
- * bit-identical to a serial run. Data races in the pool or the
- * golden cache fail `scripts/run_all.sh quick` via this binary.
+ * bit-identical to a serial run. A small full-system sweep under
+ * mapChecked covers the nested replay fan-out (the pool's helper
+ * tasks replaying one shared trace). Data races in the pool, the
+ * golden cache or the replay fan-out fail `scripts/run_all.sh quick`
+ * via this binary.
  */
 
 #include <atomic>
 #include <cstdio>
 #include <vector>
 
+#include "eval/fullsystem_eval.hh"
+#include "eval/stat_report.hh"
 #include "eval/sweep.hh"
 #include "util/thread_pool.hh"
 
@@ -97,6 +102,30 @@ main()
         for (std::size_t i = 0; i < expect.size(); ++i)
             check(identical(expect[i], got[i]),
                   "parallel result identical to serial");
+    }
+
+    // 3. Full-system replays fanned out inside pool tasks: the export
+    //    must match the serial loop's bytes.
+    {
+        const std::vector<std::string> names = {"canneal", "bodytrack"};
+        const std::vector<u32> degrees = {0, 4, 16};
+        auto sweep = [&](u64 i) {
+            return runFullSystemSweep(names[i], degrees, 1, 0.05);
+        };
+        auto render = [](const std::vector<FsSweep> &sweeps) {
+            return renderStatsJson("tsan_fs", fsSweepSnapshots(sweeps));
+        };
+        const std::string want = render({sweep(0), sweep(1)});
+
+        SweepRunner fs(4);
+        auto mapped = fs.mapChecked(names.size(), sweep);
+        check(mapped.ok(), "full-system sweep completed");
+        std::vector<FsSweep> got;
+        for (auto &r : mapped.results)
+            if (r)
+                got.push_back(std::move(*r));
+        check(render(got) == want,
+              "fanned-out full-system export identical to serial");
     }
 
     if (failures) {
