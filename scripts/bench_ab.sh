@@ -7,9 +7,11 @@
 #   --head REF       head commit (default HEAD)
 #   --pairs N        pairs of runs (default 10)
 #   --first-seed S   seed of the first pair; pair k uses S+k (default 1)
-#   --seconds T      seconds per run (default: BENCHMARK.json run_seconds)
 #   --scratch DIR    where both trees are unpacked and built
 #                    (default ${TMPDIR:-/tmp}/lva-bench-ab)
+#
+# Every run lasts BENCHMARK.json's run_seconds, the length the
+# benchmark fixes for both commits.
 #
 # Both commits are exported with `git archive` into DIR/base and
 # DIR/head (re-used while they hold the same commit, so their
@@ -31,12 +33,11 @@ BASE=HEAD^
 HEAD=HEAD
 PAIRS=10
 FIRST_SEED=1
-SECONDS_PER_RUN=
 SCRATCH="${TMPDIR:-/tmp}/lva-bench-ab"
 WORKLOAD=
 
 usage() {
-    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -46,7 +47,6 @@ while [[ $# -gt 0 ]]; do
         --head) HEAD="$2"; shift 2 ;;
         --pairs) PAIRS="$2"; shift 2 ;;
         --first-seed) FIRST_SEED="$2"; shift 2 ;;
-        --seconds) SECONDS_PER_RUN="$2"; shift 2 ;;
         --scratch) SCRATCH="$2"; shift 2 ;;
         -h|--help) usage ;;
         -*) echo "bench_ab.sh: unknown option $1" >&2; usage ;;
@@ -58,10 +58,8 @@ done
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 base_sha="$(git -C "$REPO" rev-parse --verify "$BASE^{commit}")"
 head_sha="$(git -C "$REPO" rev-parse --verify "$HEAD^{commit}")"
-if [[ -z "$SECONDS_PER_RUN" ]]; then
-    SECONDS_PER_RUN="$(python3 -c 'import json,sys
+RUN_SECONDS="$(python3 -c 'import json,sys
 print(json.load(open(sys.argv[1]))["run_seconds"])' "$REPO/BENCHMARK.json")"
-fi
 mkdir -p "$SCRATCH"
 
 # Unpack commit $2 into $SCRATCH/$1 unless it already holds it.
@@ -102,11 +100,11 @@ for ((k = 0; k < PAIRS; ++k)); do
     if ((k % 2 == 0)); then order="base head"; else order="head base"; fi
     for side in $order; do
         echo "bench_ab: pair $((k + 1))/$PAIRS seed $seed: $side" >&2
-        run_side "$side" "$seed" "$SECONDS_PER_RUN" >> "$OUT"
+        run_side "$side" "$seed" "$RUN_SECONDS" >> "$OUT"
     done
 done
 
-python3 - "$OUT" "$REPO/BENCHMARK.json" "$WORKLOAD" "$SECONDS_PER_RUN" \
+python3 - "$OUT" "$REPO/BENCHMARK.json" "$WORKLOAD" "$RUN_SECONDS" \
     "${base_sha:0:12}" "${head_sha:0:12}" <<'EOF'
 import json
 import statistics

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -151,6 +152,11 @@ TEST(ThreadPool, DefaultJobsParsesStrictly)
 
 // ---- forEachIndex: the nested fan-out ---------------------------------
 
+// How long a test waits for work it expects on another worker before
+// it gives up and fails, so a fan-out that sends nothing to helpers
+// shows as a failure, not a hang.
+constexpr std::chrono::seconds kHelperDeadline{10};
+
 TEST(ForEachIndex, OutsideAPoolIsThePlainSerialLoop)
 {
     // No pool on this thread: indices run here, in order.
@@ -210,16 +216,22 @@ TEST(ForEachIndex, ReallyRunsOnSeveralWorkers)
     std::mutex m;
     std::condition_variable cv;
     int started = 0;
+    std::atomic<bool> timed_out{false};
     auto done = pool.submit([&] {
         ThreadPool::forEachIndex(2, [&](u64) {
             std::unique_lock<std::mutex> lock(m);
             ++started;
             cv.notify_all();
-            cv.wait(lock, [&] { return started == 2; });
+            if (!cv.wait_for(lock, kHelperDeadline,
+                             [&] { return started == 2; }))
+                timed_out = true;
         });
         return true;
     });
     EXPECT_TRUE(done.get());
+    EXPECT_FALSE(timed_out.load())
+        << "the second index did not start on another worker within "
+        << kHelperDeadline.count() << " s";
 }
 
 TEST(ForEachIndex, FirstExceptionReachesTheCallerAndStopsClaims)
@@ -281,14 +293,20 @@ TEST(ForEachIndex, IsolationIsCarriedIntoHelpers)
     // blocks its own index until the failing one has run elsewhere.
     ThreadPool pool(2);
     std::atomic<bool> helper_done{false};
+    std::atomic<bool> timed_out{false};
     auto done = pool.submit([&] {
         const std::thread::id caller = std::this_thread::get_id();
         ScopedFailureIsolation isolate;
         try {
             ThreadPool::forEachIndex(2, [&](u64 i) {
                 if (std::this_thread::get_id() == caller) {
-                    while (!helper_done.load())
+                    const auto deadline =
+                        std::chrono::steady_clock::now() + kHelperDeadline;
+                    while (!helper_done.load() && !timed_out.load()) {
+                        if (std::chrono::steady_clock::now() > deadline)
+                            timed_out = true;
                         std::this_thread::yield();
+                    }
                     return;
                 }
                 helper_done = true;
@@ -301,6 +319,9 @@ TEST(ForEachIndex, IsolationIsCarriedIntoHelpers)
         return std::string("no error");
     });
     const std::string what = done.get();
+    ASSERT_FALSE(timed_out.load())
+        << "no helper ran an index within " << kHelperDeadline.count()
+        << " s";
     EXPECT_NE(what.find("assertion 'i > 99' failed"), std::string::npos)
         << what;
 }
@@ -321,14 +342,18 @@ TEST(ForEachIndex, RunsInlineWhenThePoolIsStopping)
     });
     std::thread stopper([&] { pool.shutdown(); });
     // shutdown() has set the stopping flag once submit() throws.
-    for (;;) {
+    const auto deadline = std::chrono::steady_clock::now() + kHelperDeadline;
+    bool stopping = false;
+    while (!stopping && std::chrono::steady_clock::now() < deadline) {
         try {
             pool.submit([] {});
         } catch (const std::runtime_error &) {
-            break;
+            stopping = true;
         }
         std::this_thread::yield();
     }
+    EXPECT_TRUE(stopping) << "shutdown() did not stop submissions within "
+                          << kHelperDeadline.count() << " s";
     const u64 before = pool.submitted();
     release = true;
     bool ok = false;
