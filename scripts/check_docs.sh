@@ -4,7 +4,8 @@
 #   1. docs/metrics.md     catalog markers  <->  lva_stats_catalog dump
 #   2. README.md           knobs markers    <->  "LVA_*" literals in
 #                                               src/ tools/ bench/
-#   3. docs/reproducing.md drivers markers  <->  bench/*.cc basenames
+#   3. docs/reproducing.md drivers markers  <->  executables declared in
+#                                               bench/CMakeLists.txt
 #   4. docs/performance.md hotpath markers  <->  sources fenced with
 #                                               "lva-hot-path: begin"
 #   5. docs/serving.md     serve-stats markers <-> the serve.* subtree
@@ -82,10 +83,16 @@ doc_entries README.md knobs > "$workdir/knobs.doc"
 check knobs README.md "$workdir/knobs.code" "$workdir/knobs.doc" \
       "environment knobs"
 
-# 3. Bench drivers: every bench/*.cc vs the docs/reproducing.md map.
-for f in bench/*.cc; do
-    basename "$f" .cc
-done | LC_ALL=C sort -u > "$workdir/drivers.code"
+# 3. Bench drivers: every executable bench/CMakeLists.txt declares
+#    (lva_bench, lva_figure, lva_microbench) vs the docs/reproducing.md
+#    map. The figure drivers share one source file, so the CMake names,
+#    not the bench/*.cc basenames, are the driver list.
+sed -nE 's/^[[:space:]]*lva_(bench|figure|microbench)\(([A-Za-z0-9_]+)\).*/\2/p' \
+    bench/CMakeLists.txt | LC_ALL=C sort -u > "$workdir/drivers.code"
+if [[ ! -s "$workdir/drivers.code" ]]; then
+    echo "check_docs: no executables found in bench/CMakeLists.txt" >&2
+    status=1
+fi
 doc_entries docs/reproducing.md drivers > "$workdir/drivers.doc"
 check drivers docs/reproducing.md \
       "$workdir/drivers.code" "$workdir/drivers.doc" "bench drivers"

@@ -56,7 +56,7 @@ if [[ "$MODE" == "quick" ]]; then
 
     # Documentation gates, all two-way: docs/metrics.md vs the
     # registry self-dump, the README knob table vs the LVA_* literals
-    # in the sources, docs/reproducing.md vs bench/*.cc.
+    # in the sources, docs/reproducing.md vs the bench executables.
     scripts/check_docs.sh build/tools/lva_stats_catalog
 
     # Evaluation daemon: served sweeps must be byte-identical to the

@@ -59,7 +59,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# The exact fig5_ghb_error sweep grid (bench/fig5_ghb_error.cc):
+# The exact fig5_ghb_error sweep grid (its spec in src/eval/figure.cc):
 # every workload x GHB size, baseline config otherwise.
 points="$work/points.json"
 {

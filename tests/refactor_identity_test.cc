@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/figure.hh"
 #include "eval/fullsystem_eval.hh"
 #include "eval/sweep.hh"
 #include "sim/machine_config.hh"
@@ -48,23 +49,13 @@ maybePrintGolden(const char *what, const std::string &digest)
         std::printf("GOLDEN %s = %s\n", what, digest.c_str());
 }
 
-/** The exact fig5_ghb_error sweep grid (bench/fig5_ghb_error.cc),
- *  built from @p base — Evaluator::baselineLva() or a machine's
- *  phase-1 projection. */
+/** The fig5_ghb_error sweep grid, taken from the spec the shipped
+ *  driver runs, built from @p base — Evaluator::baselineLva() or a
+ *  machine's phase-1 projection. */
 std::vector<SweepPoint>
 fig5Points(const ApproxMemory::Config &base)
 {
-    const u32 ghb_sizes[] = {0, 1, 2, 4};
-    std::vector<SweepPoint> points;
-    for (const auto &name : allWorkloadNames()) {
-        for (u32 ghb : ghb_sizes) {
-            ApproxMemory::Config cfg = base;
-            cfg.editApprox(
-                [&](ApproximatorConfig &a) { a.ghbEntries = ghb; });
-            points.push_back({"ghb-" + std::to_string(ghb), name, cfg});
-        }
-    }
-    return points;
+    return figurePoints(figureSpec("fig5_ghb_error"), base);
 }
 
 std::string

@@ -32,13 +32,17 @@
  *   --machine FILE          lva-machine-v1 topology file
  *                           (docs/topology.md; also LVA_MACHINE)
  *
+ * The configuration flags are spellings of the RPC "config" keys
+ * (--ghb is "ghb", --conf-ints is "confInts", ...): they are decoded
+ * by the same configFromJson (src/eval/service.cc) the figure specs
+ * and served sweeps use. A malformed or out-of-range value exits 2.
+ *
  * Topology axis: --machine is repeatable. Each file contributes one
- * sweep axis labeled "explore@<name>", and the approximator flags are
- * recorded as edits replayed on top of every machine's phase-1 base —
- * so `--machine a.json --machine b.json --degree 4` compares the same
+ * sweep axis labeled "explore@<name>", and the flag overrides are
+ * replayed on top of every machine's phase-1 base — so
+ * `--machine a.json --machine b.json --degree 4` compares the same
  * configuration across topologies in a single run. Flag overrides
- * apply to every per-core variant a heterogeneous machine carries
- * (the same semantics as RPC config overrides, src/eval/service.cc).
+ * apply to every per-core variant a heterogeneous machine carries.
  *
  * Robustness (DESIGN.md section 13):
  *   --checkpoint            record completed points in a manifest
@@ -47,16 +51,16 @@
  *   --timeout-ms N          per-point deadline (needs LVA_JOBS >= 2)
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "eval/sweep.hh"
+#include "eval/service.hh"
 #include "sim/machine_config.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -65,11 +69,37 @@ using namespace lva;
 
 namespace {
 
+/** A flag that sets one key of the configFromJson vocabulary (the
+ *  RPC "config" object, docs/serving.md). */
+struct ConfigFlag
+{
+    const char *flag;
+    const char *key;
+    bool takesValue;
+};
+
+const ConfigFlag kConfigFlags[] = {
+    {"--mode", "mode", true},
+    {"--ghb", "ghb", true},
+    {"--lhb", "lhb", true},
+    {"--table", "table", true},
+    {"--window", "window", true},
+    {"--conf-ints", "confInts", false},
+    {"--no-conf", "noConf", false},
+    {"--proportional", "proportional", false},
+    {"--degree", "degree", true},
+    {"--delay", "delay", true},
+    {"--mantissa-drop", "mantissaDrop", true},
+    {"--estimator", "estimator", true},
+    {"--prefetch-degree", "prefetchDegree", true},
+};
+
 struct Options
 {
     std::string workload = "all";
-    /** Flag handlers, replayed on top of every machine base. */
-    std::vector<std::function<void(ApproxMemory::Config &)>> edits;
+    /** Config overrides in flag order, replayed on every machine
+     *  base. */
+    JsonValue config;
     std::vector<std::string> machineFiles;
     u32 seeds = 0;
     double scale = 0.0;
@@ -94,118 +124,94 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/**
+ * A flag argument as a JSON value: a number when it parses as one,
+ * else a string. Decoders reject the wrong type, so "--ghb abc" and
+ * "--window 0.2x" are errors rather than 0 and 0.2.
+ */
+JsonValue
+argValue(const std::string &text)
+{
+    try {
+        JsonValue v = parseJson(text);
+        if (v.type == JsonValue::Type::Number)
+            return v;
+    } catch (const std::exception &) {
+    }
+    JsonValue v;
+    v.type = JsonValue::Type::String;
+    v.text = text;
+    return v;
+}
+
+/** @p text as an unsigned integer no larger than @p max. */
+u64
+unsignedArg(const std::string &text, u64 max)
+{
+    const u64 v = argValue(text).asU64();
+    if (v > max)
+        throw std::runtime_error("out of range");
+    return v;
+}
+
 Options
 parse(int argc, char **argv)
 {
     Options opt;
-    auto need = [&](int &i) -> const char * {
+    opt.config.type = JsonValue::Type::Object;
+    std::string text;
+    auto need = [&](int &i) -> const std::string & {
         if (i + 1 >= argc)
             usage(argv[0]);
-        return argv[++i];
-    };
-    // Approximator-field edits touch the base approximator and every
-    // per-core variant of a heterogeneous machine, so an explicit
-    // flag overrides all of them (mirrors the RPC semantics).
-    auto approxEdit = [&opt](auto fn) {
-        opt.edits.push_back(
-            [fn](ApproxMemory::Config &cfg) { cfg.editApprox(fn); });
+        return text = argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--workload") {
-            opt.workload = need(i);
-        } else if (arg == "--mode") {
-            const std::string m = need(i);
-            MemMode mode;
-            if (m == "lva")
-                mode = MemMode::Lva;
-            else if (m == "lvp")
-                mode = MemMode::Lvp;
-            else if (m == "prefetch")
-                mode = MemMode::Prefetch;
-            else if (m == "precise")
-                mode = MemMode::Precise;
-            else
+        text.clear();
+        const ConfigFlag *cf = nullptr;
+        for (const ConfigFlag &f : kConfigFlags)
+            if (arg == f.flag)
+                cf = &f;
+        // A bad value is a usage error before any simulation starts.
+        try {
+            if (cf != nullptr) {
+                JsonValue one;
+                one.type = JsonValue::Type::Object;
+                one.members.emplace_back(cf->key, cf->takesValue
+                                                      ? argValue(need(i))
+                                                      : parseJson("true"));
+                configFromJson(one); // decode now to validate
+                opt.config.members.push_back(one.members.front());
+            } else if (arg == "--workload") {
+                opt.workload = need(i);
+            } else if (arg == "--machine") {
+                opt.machineFiles.push_back(need(i));
+            } else if (arg == "--seeds") {
+                opt.seeds = static_cast<u32>(
+                    unsignedArg(need(i), std::numeric_limits<u32>::max()));
+            } else if (arg == "--scale") {
+                opt.scale = argValue(need(i)).asDouble();
+                if (!std::isfinite(opt.scale) || opt.scale < 0.0)
+                    throw std::runtime_error("must be finite and >= 0");
+            } else if (arg == "--checkpoint") {
+                opt.sweep.checkpoint = true;
+            } else if (arg == "--resume") {
+                opt.sweep.resume = true;
+            } else if (arg == "--retries") {
+                opt.sweep.maxAttempts =
+                    static_cast<u32>(unsignedArg(
+                        need(i), std::numeric_limits<u32>::max() - 1)) +
+                    1;
+            } else if (arg == "--timeout-ms") {
+                opt.sweep.timeoutMs =
+                    unsignedArg(need(i), std::numeric_limits<u64>::max());
+            } else {
                 usage(argv[0]);
-            opt.edits.push_back(
-                [mode](ApproxMemory::Config &cfg) { cfg.mode = mode; });
-        } else if (arg == "--ghb") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.ghbEntries = v; });
-        } else if (arg == "--lhb") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.lhbEntries = v; });
-        } else if (arg == "--table") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.tableEntries = v; });
-        } else if (arg == "--window") {
-            const std::string w = need(i);
-            const double v =
-                (w == "inf") ? std::numeric_limits<double>::infinity()
-                             : std::atof(w.c_str());
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.confidenceWindow = v; });
-        } else if (arg == "--conf-ints") {
-            approxEdit(
-                [](ApproximatorConfig &a) { a.confidenceForInts = true; });
-        } else if (arg == "--no-conf") {
-            approxEdit([](ApproximatorConfig &a) {
-                a.confidenceDisabled = true;
-            });
-        } else if (arg == "--proportional") {
-            approxEdit([](ApproximatorConfig &a) {
-                a.proportionalConfidence = true;
-            });
-        } else if (arg == "--degree") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.approxDegree = v; });
-        } else if (arg == "--delay") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.valueDelay = v; });
-        } else if (arg == "--mantissa-drop") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            approxEdit(
-                [v](ApproximatorConfig &a) { a.mantissaDropBits = v; });
-        } else if (arg == "--estimator") {
-            const std::string e = need(i);
-            Estimator est;
-            if (e == "average")
-                est = Estimator::Average;
-            else if (e == "last")
-                est = Estimator::Last;
-            else if (e == "stride")
-                est = Estimator::Stride;
-            else
-                usage(argv[0]);
-            approxEdit(
-                [est](ApproximatorConfig &a) { a.estimator = est; });
-        } else if (arg == "--prefetch-degree") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
-            opt.edits.push_back([v](ApproxMemory::Config &cfg) {
-                cfg.prefetch.degree = v;
-            });
-        } else if (arg == "--machine") {
-            opt.machineFiles.push_back(need(i));
-        } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(std::atoi(need(i)));
-        } else if (arg == "--scale") {
-            opt.scale = std::atof(need(i));
-        } else if (arg == "--checkpoint") {
-            opt.sweep.checkpoint = true;
-        } else if (arg == "--resume") {
-            opt.sweep.resume = true;
-        } else if (arg == "--retries") {
-            opt.sweep.maxAttempts =
-                static_cast<u32>(std::atoi(need(i))) + 1;
-        } else if (arg == "--timeout-ms") {
-            opt.sweep.timeoutMs = static_cast<u64>(std::atoll(need(i)));
-        } else {
-            usage(argv[0]);
+            }
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lva_explore: bad value '%s' for %s: %s\n",
+                         text.c_str(), arg.c_str(), e.what());
+            std::exit(2);
         }
     }
     opt.sweep.driver = "lva_explore";
@@ -265,8 +271,7 @@ main(int argc, char **argv)
         axes.push_back({"explore", Evaluator::baselineLva()});
     }
     for (Axis &axis : axes)
-        for (const auto &edit : opt.edits)
-            edit(axis.cfg);
+        axis.cfg = configFromJson(opt.config, axis.cfg);
 
     std::vector<std::string> names;
     if (opt.workload == "all")
