@@ -1,6 +1,6 @@
 /**
  * @file
- * The main of every phase-1 figure and ablation driver. Each of those
+ * The main of every driver in the FigureSpec table. Each of those
  * executables is this file compiled with LVA_FIGURE naming its
  * FigureSpec (src/eval/figure.cc), which holds the sweep axis, the
  * tables and the CSV names.

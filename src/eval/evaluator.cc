@@ -20,13 +20,13 @@ seedsFromEnv()
     return static_cast<u32>(envKnobU64("LVA_SEEDS", 5, 1, 64));
 }
 
+} // namespace
+
 double
 scaleFromEnv()
 {
     return envKnobF64("LVA_SCALE", 1.0, 1e-6, 4.0);
 }
-
-} // namespace
 
 const std::vector<EvalMetricDef> &
 evalMetricDefs()

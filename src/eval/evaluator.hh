@@ -111,6 +111,13 @@ std::size_t goldenEvictionVictim(
     const std::vector<GoldenEvictionCandidate> &candidates);
 
 /**
+ * Workload scale from LVA_SCALE: 1.0 by default, bounded to
+ * [1e-6, 4]. The one parse of the knob, shared by the evaluator and
+ * the full-system trace recorder.
+ */
+double scaleFromEnv();
+
+/**
  * Runs and caches evaluations.
  *
  * Golden (precise) runs are memoized per (workload, seed): every sweep

@@ -2,10 +2,13 @@
 
 #include <cstdio>
 #include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
+#include "eval/fullsystem_eval.hh"
 #include "eval/service.hh"
+#include "sim/machine_config.hh"
 #include "util/bench_timer.hh"
 #include "util/results_dir.hh"
 #include "util/table.hh"
@@ -17,6 +20,8 @@ const char kMpki[] = "eval.normMpki";
 const char kFetches[] = "eval.normFetches";
 const char kError[] = "eval.outputError";
 const char kCoverage[] = "eval.coverage";
+const char kCycles[] = "system.cycles";
+const char kEnergy[] = "energy.total";
 
 /** "<prefix><v><suffix>" for each of @p values. */
 std::vector<std::string>
@@ -31,17 +36,20 @@ names(const std::string &prefix, std::initializer_list<u32> values,
 
 /**
  * One axis point per value, labelled "<prefix><v>", with override
- * {<extra>"<key>":<v>} (@p extra: further members, comma-terminated).
+ * {<extra>"<key>":<v>} (@p extra: further members, comma-terminated)
+ * and, on a full-system axis, LVA at @p degree.
  */
 std::vector<FigureAxisPoint>
 axis(const std::string &prefix, const std::string &key,
-     std::initializer_list<u32> values, const std::string &extra = "")
+     std::initializer_list<u32> values, const std::string &extra = "",
+     u32 degree = 0)
 {
     std::vector<FigureAxisPoint> out;
     for (u32 v : values)
         out.push_back({prefix + std::to_string(v),
                        "{" + extra + "\"" + key +
-                           "\":" + std::to_string(v) + "}"});
+                           "\":" + std::to_string(v) + "}",
+                       true, degree});
     return out;
 }
 
@@ -102,6 +110,53 @@ fig13Table()
     t.corner = "precision loss (bits)";
     t.rows = names("", {0, 5, 11, 17, 23});
     return t;
+}
+
+/** Column @p header: @p stat of point @p a compared with point @p b. */
+FigureColumn
+compared(std::string header, const char *stat, Compare form, u32 a,
+         u32 b, CellFormat format = CellFormat::Percent1)
+{
+    return {std::move(header), a, stat, format, form, b};
+}
+
+/** Column @p header: the speedup of point @p lva over point @p base. */
+FigureColumn
+speedup(std::string header, u32 base, u32 lva)
+{
+    return compared(std::move(header), kCycles, Compare::RatioMinusOne,
+                    base, lva);
+}
+
+constexpr u32 kFsDegrees[] = {0, 2, 4, 8, 16};
+
+/**
+ * The Fig. 10/11 axis: the precise baseline, then LVA at each
+ * degree. Both drivers replay this same sweep; each records and
+ * replays it again (there is no trace cache between drivers).
+ */
+std::vector<FigureAxisPoint>
+degreeAxis()
+{
+    std::vector<FigureAxisPoint> out = {{"baseline", "{}", false}};
+    for (u32 d : kFsDegrees)
+        out.push_back({"lva-d" + std::to_string(d), "{}", true, d});
+    return out;
+}
+
+/**
+ * One "approx-<d>" column per LVA point i of degreeAxis(): make(
+ * header, i) builds it against the baseline, point 0.
+ */
+template <typename Make>
+std::vector<FigureColumn>
+perDegree(Make make)
+{
+    std::vector<FigureColumn> out;
+    for (u32 i = 1; i <= std::size(kFsDegrees); ++i)
+        out.push_back(
+            make("approx-" + std::to_string(kFsDegrees[i - 1]), i));
+    return out;
 }
 
 std::vector<FigureSpec>
@@ -199,6 +254,52 @@ buildSpecs()
                           series(names("approx-", {0, 2, 4, 8, 16}),
                                  kError, CellFormat::Percent1))}},
 
+        {.driver = "fig10_fullsystem",
+         .heading = "Figure 10 reproduction",
+         .fullSystem = true,
+         .workloads = all,
+         .axis = degreeAxis(),
+         .tables = {table("Figure 10a: full-system speedup by "
+                          "approximation degree (paper: 8.5% avg @0, "
+                          "max 28.6%)",
+                          "fig10a_speedup.csv",
+                          perDegree([](std::string h, u32 i) {
+                              return speedup(std::move(h), 0, i);
+                          }),
+                          true),
+                    table("Figure 10b: energy savings by approximation "
+                          "degree (paper: 12.6% avg @16, max 44.1%)",
+                          "fig10b_energy.csv",
+                          perDegree([](std::string h, u32 i) {
+                              return compared(std::move(h), kEnergy,
+                                              Compare::OneMinusRatio, i, 0);
+                          }),
+                          true)},
+         .headlines = {compared("avg L1 miss latency reduction @degree 0 "
+                                "(paper: 41.0%)",
+                                "system.avgL1MissLatency",
+                                Compare::OneMinusRatio, 1, 0),
+                       compared("avg interconnect traffic reduction "
+                                "@degree 16 (paper: 37.2%)",
+                                kStatFlitHops, Compare::OneMinusRatio, 5,
+                                0)}},
+
+        {.driver = "fig11_edp",
+         .heading = "Figure 11 reproduction",
+         .fullSystem = true,
+         .workloads = all,
+         .axis = degreeAxis(),
+         .tables = {table("Figure 11: normalized L1-miss EDP by "
+                          "approximation degree (paper avg: 0.581 @0, "
+                          "0.462 @4, 0.362 @16)",
+                          "fig11_edp.csv",
+                          perDegree([](std::string h, u32 i) {
+                              return compared(std::move(h), kStatL1MissEdp,
+                                              Compare::Ratio, i, 0,
+                                              CellFormat::Fixed3);
+                          }),
+                          true)}},
+
         // Paper VII-B: GHB 2, confidence gate disabled.
         {.driver = "fig13_precision",
          .heading = "Figure 13 reproduction",
@@ -264,48 +365,240 @@ buildSpecs()
          .tables = mpkiAndError("ablation_table_assoc",
                                 "Associativity ablation (GHB 2)",
                                 names("", {1, 2, 4, 8}, "-way"))},
+
+        // Paper VI-C: training fetches only train the approximator,
+        // so they can take a slow path; the extra cycles overrule
+        // the machine's own setting on the LVA legs.
+        {.driver = "ablation_slow_fetch",
+         .heading = "Slow-training-fetch ablation",
+         .fullSystem = true,
+         .workloads = all,
+         .axis = join({{"baseline", "{}", false}},
+                      axis("extra-", "backgroundFetchExtraLatency",
+                           {0, 100, 300}, "", 4)),
+         .tables = {table("LVA (degree 4) speedup with deprioritized "
+                          "training fetches",
+                          "ablation_slow_fetch.csv",
+                          {speedup("+0 cycles", 0, 1),
+                           speedup("+100 cycles", 0, 2),
+                           speedup("+300 cycles", 0, 3)})}},
+
+        // Paper VI-C (citing Mishra et al.): training fetches ride a
+        // second, low-energy mesh plane. The homo/hetero legs overrule
+        // the machine file; the baseline keeps its setting.
+        {.driver = "ablation_hetero_noc",
+         .heading = "Heterogeneous-NoC ablation",
+         .fullSystem = true,
+         .workloads = all,
+         .axis = {{"baseline", "{}", false},
+                  {"homo", R"({"heteroNoc":false})", true, 4},
+                  {"hetero", R"({"heteroNoc":true})", true, 4}},
+         .tables = {table(
+             "LVA (degree 4): homogeneous vs heterogeneous NoC for "
+             "training fetches",
+             "ablation_hetero_noc.csv",
+             {speedup("speedup homo", 0, 1),
+              speedup("speedup hetero", 0, 2),
+              {"NoC energy homo", 1, "energy.noc", CellFormat::Fixed1},
+              {"NoC energy hetero", 2, "energy.noc", CellFormat::Fixed1},
+              compared("energy savings homo", kEnergy,
+                       Compare::OneMinusRatio, 1, 0),
+              compared("energy savings hetero", kEnergy,
+                       Compare::OneMinusRatio, 2, 0)})}},
+
+        // Table II's MSI against MESI. MESI is not uniformly cheaper:
+        // the E state saves GetM upgrades on private read-write data
+        // but forces owner forwards on read-shared data (the
+        // directory cannot know whether an E copy was silently
+        // dirtied), so traffic can go either way.
+        {.driver = "ablation_coherence",
+         .heading = "Coherence-protocol ablation",
+         .fullSystem = true,
+         .workloads = all,
+         .axis = {{"msi-base", R"({"protocol":"msi"})", false},
+                  {"msi-lva", R"({"protocol":"msi"})", true, 4},
+                  {"mesi-base", R"({"protocol":"mesi"})", false},
+                  {"mesi-lva", R"({"protocol":"mesi"})", true, 4}},
+         .tables = {table("LVA (degree 4) speedup under MSI vs MESI",
+                          "ablation_coherence.csv",
+                          {speedup("LVA speedup (MSI)", 0, 1),
+                           speedup("LVA speedup (MESI)", 2, 3),
+                           compared("baseline traffic change (MESI vs "
+                                    "MSI)",
+                                    kStatFlitHops, Compare::RatioMinusOne,
+                                    2, 0)})}},
     };
+}
+
+/** @p stat of @p s: a registry path, kStatL1MissEdp or kStatFlitHops. */
+double
+figureStat(const StatSnapshot &s, const std::string &stat)
+{
+    if (stat == kStatL1MissEdp) {
+        const double servicing = s.valueOf("energy.l2") +
+                                 s.valueOf("energy.dram") +
+                                 s.valueOf("energy.noc");
+        return servicing * s.valueOf("system.avgL1MissLatency");
+    }
+    if (stat == kStatFlitHops)
+        return s.valueOf("energy.events.nocFlitHops") +
+               s.valueOf("energy.events.nocFlitHopsSlow");
+    return s.valueOf(stat);
 }
 
 std::string
 cell(double v, CellFormat format)
 {
-    return format == CellFormat::Fixed3 ? fmtDouble(v, 3)
-                                        : fmtPercent(v, 1);
+    switch (format) {
+      case CellFormat::Fixed3:
+        return fmtDouble(v, 3);
+      case CellFormat::Fixed1:
+        return fmtDouble(v, 1);
+      case CellFormat::Percent1:
+        break;
+    }
+    return fmtPercent(v, 1);
+}
+
+/** One workload's table row: its label and each axis point's stats. */
+struct Row
+{
+    std::string label;
+    std::vector<const StatSnapshot *> stats;
+};
+
+double
+columnValue(const FigureColumn &c, const Row &row)
+{
+    return compareStat(c.compare, *row.stats[c.point], *row.stats[c.over],
+                       c.stat);
+}
+
+/** Column @p c averaged over @p rows, summed in row order. */
+double
+average(const FigureColumn &c, const std::vector<Row> &rows)
+{
+    double sum = 0.0;
+    for (const Row &r : rows)
+        sum += columnValue(c, r);
+    return sum / static_cast<double>(rows.size());
 }
 
 Table
-renderTable(const FigureSpec &spec, const FigureTable &t,
-            const std::vector<EvalResult> &results)
+renderTable(const FigureTable &t, std::vector<Row> rows)
 {
+    if (!t.rows.empty()) { // transposed: one workload, row i = point i
+        const Row only = rows.at(0);
+        rows.clear();
+        for (std::size_t i = 0; i < t.rows.size(); ++i)
+            rows.push_back({t.rows[i], {only.stats[i]}});
+    }
+
     std::vector<std::string> header = {t.corner};
     for (const FigureColumn &c : t.columns)
         header.push_back(c.header);
     Table table(header);
-
-    const bool transposed = !t.rows.empty();
-    const std::vector<std::string> &labels =
-        transposed ? t.rows : spec.workloads;
-    std::vector<double> sum(t.columns.size(), 0.0);
-    for (std::size_t r = 0; r < labels.size(); ++r) {
-        std::vector<std::string> row = {labels[r]};
-        for (std::size_t c = 0; c < t.columns.size(); ++c) {
-            const std::size_t point =
-                transposed ? r : r * spec.axis.size() + t.columns[c].point;
-            const double v = results[point].stats.valueOf(t.columns[c].stat);
-            sum[c] += v;
-            row.push_back(cell(v, t.columns[c].format));
-        }
+    for (const Row &r : rows) {
+        std::vector<std::string> row = {r.label};
+        for (const FigureColumn &c : t.columns)
+            row.push_back(cell(columnValue(c, r), c.format));
         table.addRow(row);
     }
     if (t.average) {
-        const double n = static_cast<double>(labels.size());
         std::vector<std::string> row = {"average"};
-        for (std::size_t c = 0; c < t.columns.size(); ++c)
-            row.push_back(cell(sum[c] / n, t.columns[c].format));
+        for (const FigureColumn &c : t.columns)
+            row.push_back(cell(average(c, rows), c.format));
         table.addRow(row);
     }
     return table;
+}
+
+/** Print and write @p spec's tables over @p rows, then its headlines. */
+void
+publish(const FigureSpec &spec, const std::vector<Row> &rows)
+{
+    for (const FigureTable &t : spec.tables) {
+        const Table table = renderTable(t, rows);
+        table.print(t.title);
+        table.writeCsv(resultsPath(t.csv));
+    }
+    std::printf("\n");
+    for (const FigureColumn &h : spec.headlines)
+        std::printf("%s: %s\n", h.header.c_str(),
+                    cell(average(h, rows), h.format).c_str());
+    for (const FigureTable &t : spec.tables)
+        std::printf("wrote %s\n", resultsPath(t.csv).c_str());
+}
+
+int
+runPhase1(const FigureSpec &spec, SweepRunner &runner,
+          const SweepOptions &opts)
+{
+    const std::vector<SweepPoint> points =
+        figurePoints(spec, machineBaseLva(opts));
+    const SweepOutcome outcome = runner.runChecked(points, opts);
+
+    // A failed point holds a nan placeholder, so every row renders.
+    const std::size_t n = spec.axis.size();
+    std::vector<Row> rows;
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+        Row row{spec.workloads[w], {}};
+        for (std::size_t i = 0; i < n; ++i)
+            row.stats.push_back(&outcome.results[w * n + i].stats);
+        rows.push_back(std::move(row));
+    }
+    publish(spec, rows);
+    std::printf("wrote %s\n",
+                exportSweepStats(spec.driver, points, outcome).c_str());
+    return reportSweepFailures(outcome);
+}
+
+int
+runFullSystem(const FigureSpec &spec, SweepRunner &runner,
+              const SweepOptions &opts)
+{
+    const MachineConfig machine = sweepMachine(opts);
+    const std::vector<FullSystemConfig> systems =
+        figureSystems(spec, machine);
+    const double scale = runner.evaluator().scale();
+    const std::vector<std::string> &names = spec.workloads;
+
+    // One task per workload: record its precise trace once, then
+    // replay it under every axis point. The task owns copies of what
+    // it reads: one abandoned at its deadline may outlive this call.
+    const auto outcome = runner.mapChecked(
+        names.size(),
+        [spec, machine, systems, scale](u64 w) {
+            const std::string &name = spec.workloads[w];
+            std::vector<FullSystemResult> runs = replayConfigs(
+                recordPreciseTraces(name, 1, scale, &machine), systems);
+            std::vector<NamedSnapshot> snaps;
+            for (std::size_t i = 0; i < runs.size(); ++i)
+                snaps.push_back({name + "/" + spec.axis[i].label, name,
+                                 std::move(runs[i].stats)});
+            return snaps;
+        },
+        opts, [&names](u64 w) { return names[w]; });
+
+    // A failed workload is listed in the export's failures section
+    // and left out of the tables and their averages.
+    std::vector<Row> rows;
+    std::vector<NamedSnapshot> snaps;
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        if (!outcome.results[w])
+            continue;
+        Row row{names[w], {}};
+        for (const NamedSnapshot &s : *outcome.results[w]) {
+            row.stats.push_back(&s.stats);
+            snaps.push_back(s);
+        }
+        rows.push_back(std::move(row));
+    }
+    publish(spec, rows);
+    std::printf("wrote %s\n",
+                writeStatsJson(spec.driver, snaps, outcome.failures)
+                    .c_str());
+    return reportSweepFailures(outcome.failures, names.size());
 }
 
 } // namespace
@@ -340,25 +633,43 @@ figurePoints(const FigureSpec &spec, const ApproxMemory::Config &base)
     return points;
 }
 
+std::vector<FullSystemConfig>
+figureSystems(const FigureSpec &spec, const MachineConfig &machine)
+{
+    std::vector<FullSystemConfig> systems;
+    for (const FigureAxisPoint &p : spec.axis) {
+        MachineConfig m = machine;
+        applyMachineJson(m, parseJson(p.config));
+        systems.push_back(m.fullSystem(p.lva, p.degree));
+    }
+    return systems;
+}
+
+double
+compareStat(Compare form, const StatSnapshot &a, const StatSnapshot &b,
+            const std::string &stat)
+{
+    if (form == Compare::None)
+        return figureStat(a, stat);
+    const double ratio = figureStat(a, stat) / figureStat(b, stat);
+    switch (form) {
+      case Compare::RatioMinusOne:
+        return ratio - 1.0;
+      case Compare::OneMinusRatio:
+        return 1.0 - ratio;
+      case Compare::None:
+      case Compare::Ratio:
+        break;
+    }
+    return ratio;
+}
+
 int
 runFigure(const FigureSpec &spec, SweepRunner &runner,
           const SweepOptions &opts)
 {
-    const std::vector<SweepPoint> points =
-        figurePoints(spec, machineBaseLva(opts));
-    const SweepOutcome outcome = runner.runChecked(points, opts);
-
-    for (const FigureTable &t : spec.tables) {
-        const Table table = renderTable(spec, t, outcome.results);
-        table.print(t.title);
-        table.writeCsv(resultsPath(t.csv));
-    }
-    std::printf("\n");
-    for (const FigureTable &t : spec.tables)
-        std::printf("wrote %s\n", resultsPath(t.csv).c_str());
-    std::printf("wrote %s\n",
-                exportSweepStats(spec.driver, points, outcome).c_str());
-    return reportSweepFailures(outcome);
+    return spec.fullSystem ? runFullSystem(spec, runner, opts)
+                           : runPhase1(spec, runner, opts);
 }
 
 int
@@ -367,8 +678,12 @@ figureMain(const std::string &driver, int argc, char **argv)
     const FigureSpec &spec = figureSpec(driver);
     BenchTimer timer(driver);
     Evaluator eval;
-    std::printf("%s (seeds=%u, scale=%.2f)\n", spec.heading.c_str(),
-                eval.seeds(), eval.scale());
+    if (spec.fullSystem) // one recorded trace (seed 1) per workload
+        std::printf("%s (scale=%.2f)\n", spec.heading.c_str(),
+                    eval.scale());
+    else
+        std::printf("%s (seeds=%u, scale=%.2f)\n", spec.heading.c_str(),
+                    eval.seeds(), eval.scale());
 
     const SweepOptions opts = sweepOptionsFromCli(driver, argc, argv);
     SweepRunner runner(eval);

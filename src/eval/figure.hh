@@ -1,16 +1,23 @@
 /**
  * @file
- * The phase-1 figure and ablation drivers as data.
+ * The figure and ablation drivers as data.
  *
- * Paper Figs. 4-9 and 13 and the five approximator ablations each
- * sweep one design axis over the workloads and tabulate a metric or
- * two per axis point. A FigureSpec states such a sweep: the axis as
- * labelled config overrides in the configFromJson vocabulary (the
- * same keys an RPC "config" object, an lva-machine-v1 "approx" object
- * and an lva_explore flag use), and each output table as columns of
- * (axis point, stat path, number format). runFigure() is the one
- * engine that runs any spec; every figure binary is
- * bench/figure_main.cc compiled with the spec's driver name.
+ * Each paper figure or ablation sweeps one design axis over the
+ * workloads and tabulates a metric or two per axis point. A
+ * FigureSpec states such a sweep, and runFigure() is the one engine
+ * that runs any spec; every figure binary is bench/figure_main.cc
+ * compiled with the spec's driver name.
+ *
+ * A phase-1 spec (Figs. 4-9 and 13, the five approximator
+ * ablations) writes its axis as labelled config overrides in the
+ * configFromJson vocabulary (the same keys an RPC "config" object,
+ * an lva-machine-v1 "approx" object and an lva_explore flag use). A
+ * full-system spec (Figs. 10 and 11, the coherence, heterogeneous-NoC
+ * and slow-fetch ablations) records each workload's precise trace
+ * once and replays it per axis point, each point being the LVA
+ * switch, a degree and an lva-machine-v1 override of the sweep's
+ * machine. Tables are columns of (axis point, stat, number format),
+ * where a column may also compare its stat between two axis points.
  */
 
 #ifndef LVA_EVAL_FIGURE_HH
@@ -20,19 +27,37 @@
 #include <vector>
 
 #include "eval/sweep.hh"
+#include "sim/full_system.hh"
 
 namespace lva {
 
-/** How a cell renders its stat: fmtDouble(v, 3) or fmtPercent(v, 1). */
-enum class CellFormat { Fixed3, Percent1 };
+/** How a cell renders its value: fmtDouble(v, 3 or 1), fmtPercent(v, 1). */
+enum class CellFormat { Fixed3, Fixed1, Percent1 };
 
-/** One output column: a stat of one axis point. */
+/**
+ * How a column compares its stat a (at axis point `point`) with b
+ * (at axis point `over`): not at all (a), a/b, a/b - 1 (speedup,
+ * traffic change) or 1 - a/b (savings, reductions).
+ */
+enum class Compare { None, Ratio, RatioMinusOne, OneMinusRatio };
+
+/**
+ * Stats a column may name besides registry paths: the L1-miss
+ * energy-delay product (paper Fig. 11: L2 + DRAM + NoC energy times
+ * the average L1 miss latency) and the flit-hops of both mesh planes.
+ */
+inline constexpr char kStatL1MissEdp[] = "l1MissEdp";
+inline constexpr char kStatFlitHops[] = "flitHops";
+
+/** One output column: a stat of one axis point, or a comparison. */
 struct FigureColumn
 {
     std::string header;
-    u32 point = 0; ///< axis index (unused by transposed tables)
+    u32 point = 0; ///< axis index (0 in transposed tables)
     std::string stat;
     CellFormat format = CellFormat::Fixed3;
+    Compare compare = Compare::None;
+    u32 over = 0; ///< axis index of b when compare != None
 };
 
 /** One printed table and its CSV under results/. */
@@ -52,11 +77,18 @@ struct FigureTable
     std::vector<std::string> rows;
 };
 
-/** One axis point: its sweep label and its configFromJson override. */
+/**
+ * One axis point: its sweep label and its override. A phase-1 point
+ * overrides the sweep's base config through configFromJson; a
+ * full-system point applies lva-machine-v1 members to the sweep's
+ * machine (applyMachineJson) and replays on fullSystem(lva, degree).
+ */
 struct FigureAxisPoint
 {
     std::string label;
     std::string config;
+    bool lva = true; ///< full system: LVA on, else the precise baseline
+    u32 degree = 0;  ///< full system: approximation degree
 };
 
 /** One figure driver: a workload x axis sweep and its tables. */
@@ -64,28 +96,50 @@ struct FigureSpec
 {
     std::string driver;  ///< executable and stats export name
     std::string heading; ///< stdout banner ("Figure 7 reproduction")
+    /** Record-and-replay through the timing model, not phase 1. */
+    bool fullSystem = false;
     std::vector<std::string> workloads;
     std::vector<FigureAxisPoint> axis;
     std::vector<FigureTable> tables;
+    /** Printed after the tables as "<header>: <average>", no file. */
+    std::vector<FigureColumn> headlines{};
 };
 
-/** Every phase-1 figure and ablation, in docs/reproducing.md order. */
+/** Every figure and ablation spec, in docs/reproducing.md order. */
 const std::vector<FigureSpec> &figureSpecs();
 
 /** The spec named @p driver; throws std::runtime_error if none. */
 const FigureSpec &figureSpec(const std::string &driver);
 
 /**
- * The sweep grid of @p spec on @p base, workload-major and
+ * The sweep grid of phase-1 @p spec on @p base, workload-major and
  * axis-minor: point w * axis.size() + i is axis point i of workload w.
  */
 std::vector<SweepPoint> figurePoints(const FigureSpec &spec,
                                      const ApproxMemory::Config &base);
 
 /**
- * Run @p spec on the machine of @p opts: print its tables, write
- * their CSVs and the stats export, and return the driver exit code
- * (reportSweepFailures).
+ * The replay configurations of full-system @p spec on @p machine:
+ * configs[i] is axis point i. The overrides are not validated, so
+ * the machine each point builds is exactly the edited one.
+ */
+std::vector<FullSystemConfig>
+figureSystems(const FigureSpec &spec, const MachineConfig &machine);
+
+/**
+ * @p stat (a registry path, kStatL1MissEdp or kStatFlitHops) of @p a
+ * compared with that of @p b in @p form: the value a column shows.
+ */
+double compareStat(Compare form, const StatSnapshot &a,
+                   const StatSnapshot &b, const std::string &stat);
+
+/**
+ * Run @p spec on the machine of @p opts at the evaluator's scale
+ * (a full-system spec replays seed 1): print its tables and
+ * headlines, write their CSVs and the stats export, and return the
+ * driver exit code (reportSweepFailures). A failed phase-1 point
+ * renders as nan; a failed full-system workload drops its row, and
+ * averages cover the workloads that completed.
  */
 int runFigure(const FigureSpec &spec, SweepRunner &runner,
               const SweepOptions &opts);

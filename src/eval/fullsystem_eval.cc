@@ -1,19 +1,12 @@
 #include "eval/fullsystem_eval.hh"
 
 #include "cpu/trace.hh"
+#include "eval/evaluator.hh"
 #include "sim/machine_config.hh"
-#include "util/env_knob.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "workloads/workload.hh"
 
 namespace lva {
-
-double
-fsScaleFromEnv()
-{
-    return envKnobF64("LVA_SCALE", 1.0, 1e-6, 4.0);
-}
 
 std::vector<ThreadTrace>
 recordPreciseTraces(const std::string &workload, u64 seed, double scale,
@@ -21,7 +14,7 @@ recordPreciseTraces(const std::string &workload, u64 seed, double scale,
 {
     WorkloadParams params;
     params.seed = seed;
-    params.scale = scale > 0.0 ? scale : fsScaleFromEnv();
+    params.scale = scale > 0.0 ? scale : scaleFromEnv();
     if (machine != nullptr)
         params.threads = machine->cores;
 

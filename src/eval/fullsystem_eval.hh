@@ -18,12 +18,8 @@
 namespace lva {
 
 /**
- * Results of one workload's full-system sweep.
- *
- * The figure helpers below read the registry snapshots rather than
- * the convenience fields of FullSystemResult, so every published
- * number flows from the same "system.*"/"energy.*" paths that the
- * JSON export serializes (see docs/metrics.md).
+ * Results of one workload's full-system sweep: the precise replay
+ * and one LVA replay per degree.
  */
 struct FsSweep
 {
@@ -31,73 +27,13 @@ struct FsSweep
     FullSystemResult baseline;           ///< precise replay
     std::vector<u32> degrees;
     std::vector<FullSystemResult> lva;   ///< one per degree
-
-    /** Speedup of the degree-i LVA system over precise. */
-    double
-    speedup(std::size_t i) const
-    {
-        return baseline.stats.valueOf("system.cycles") /
-                   lva[i].stats.valueOf("system.cycles") -
-               1.0;
-    }
-
-    /** Memory-hierarchy dynamic-energy savings of the degree-i run. */
-    double
-    energySavings(std::size_t i) const
-    {
-        return 1.0 - lva[i].stats.valueOf("energy.total") /
-                         baseline.stats.valueOf("energy.total");
-    }
-
-    /** Normalized L1-miss energy-delay product (paper Figure 11). */
-    double
-    normMissEdp(std::size_t i) const
-    {
-        return snapMissEdp(lva[i].stats) / snapMissEdp(baseline.stats);
-    }
-
-    /** Reduction in average L1 miss latency. */
-    double
-    missLatencyReduction(std::size_t i) const
-    {
-        return 1.0 - lva[i].stats.valueOf("system.avgL1MissLatency") /
-                         baseline.stats.valueOf(
-                             "system.avgL1MissLatency");
-    }
-
-    /** Reduction in interconnect traffic (flit-hops). */
-    double
-    trafficReduction(std::size_t i) const
-    {
-        return 1.0 -
-               snapFlitHops(lva[i].stats) /
-                   snapFlitHops(baseline.stats);
-    }
-
-    /** L1-miss EDP from a snapshot (mirrors missEdp()). */
-    static double
-    snapMissEdp(const StatSnapshot &s)
-    {
-        const double servicing = s.valueOf("energy.l2") +
-                                 s.valueOf("energy.dram") +
-                                 s.valueOf("energy.noc");
-        return servicing * s.valueOf("system.avgL1MissLatency");
-    }
-
-    /** Total flit-hops (both mesh planes) from a snapshot. */
-    static double
-    snapFlitHops(const StatSnapshot &s)
-    {
-        return s.valueOf("energy.events.nocFlitHops") +
-               s.valueOf("energy.events.nocFlitHopsSlow");
-    }
 };
 
 struct MachineConfig;
 
 /**
  * Record @p workload's precise execution (given seed/scale; scale
- * 0 = fsScaleFromEnv()) as one trace per thread. @p machine sets the
+ * 0 = scaleFromEnv()) as one trace per thread. @p machine sets the
  * thread count; null = the workload default, as in the Table II
  * machine.
  */
@@ -127,9 +63,6 @@ FsSweep runFullSystemSweep(const std::string &workload,
                            const std::vector<u32> &degrees,
                            u64 seed = 1, double scale = 0.0,
                            const MachineConfig *machine = nullptr);
-
-/** Scale from LVA_SCALE (1.0 default), as in the phase-1 evaluator. */
-double fsScaleFromEnv();
 
 /**
  * Flatten full-system sweeps into labelled snapshots for the JSON

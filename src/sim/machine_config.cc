@@ -378,27 +378,18 @@ defaultMachine()
     return machine;
 }
 
-MachineConfig
-machineFromJson(const JsonValue &v)
+void
+applyMachineJson(MachineConfig &m, const JsonValue &v)
 {
     if (!v.isObject())
         fail("description must be a JSON object");
-    const JsonValue *schema = v.find("schema");
-    if (schema == nullptr)
-        fail("missing \"schema\" (expected \"" +
-             std::string(machineSchema()) + "\")");
-    if (schema->asString() != machineSchema())
-        fail("unsupported schema \"" + schema->asString() + "\"");
-
-    MachineConfig m;
-    m.name = "custom";
     // Deferred past the main loop so the expansion sees the final
     // "cores" and "approx" values regardless of member order.
     const JsonValue *core_approx = nullptr;
 
     for (const auto &[key, value] : v.members) {
         if (key == "schema") {
-            // validated above
+            // checked by machineFromJson
         } else if (key == "name") {
             m.name = value.asString();
         } else if (key == "cores") {
@@ -497,7 +488,23 @@ machineFromJson(const JsonValue &v)
             }
         }
     }
+}
 
+MachineConfig
+machineFromJson(const JsonValue &v)
+{
+    if (!v.isObject())
+        fail("description must be a JSON object");
+    const JsonValue *schema = v.find("schema");
+    if (schema == nullptr)
+        fail("missing \"schema\" (expected \"" +
+             std::string(machineSchema()) + "\")");
+    if (schema->asString() != machineSchema())
+        fail("unsupported schema \"" + schema->asString() + "\"");
+
+    MachineConfig m;
+    m.name = "custom";
+    applyMachineJson(m, v);
     m.validate();
     return m;
 }

@@ -132,6 +132,15 @@ const MachineConfig &defaultMachine();
  */
 MachineConfig machineFromJson(const JsonValue &v);
 
+/**
+ * Apply the lva-machine-v1 members of object @p v onto @p m key by
+ * key ("schema" is skipped), leaving every other field as it is. No
+ * validate(): machineFromJson validates the machine it builds, and a
+ * full-system figure axis (eval/figure) replays its edit of an
+ * already loaded machine as given.
+ */
+void applyMachineJson(MachineConfig &m, const JsonValue &v);
+
 /** machineFromJson over the contents of @p path (throws on I/O or
  *  parse errors, with the path in the message). */
 MachineConfig machineFromFile(const std::string &path);
