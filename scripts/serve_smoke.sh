@@ -28,6 +28,12 @@
 #   9. on the 1-worker leg, require serve.cache.evictions > 0 via the
 #      stats op, then SIGTERM and require a drained exit 0.
 #
+# Then the sharded-sweep leg: `lva_client sweep --shards 3` against a
+# 3-worker lva_fleet, with every first-incarnation worker aborting,
+# then the frontend killed at coord.scatter.1 and (with --resume) at
+# coord.gather.2, then a clean --resume that must match the
+# reference and report resumed points.
+#
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -283,89 +289,137 @@ for fleet in 1 3; do
     echo "serve_smoke: fleet=$fleet — SIGTERM drained, exit 0"
 done
 
-# ---- coordinator leg: one sweep sharded across a fleet, with a
-# worker killed mid-shard, the coordinator killed at scatter AND at
-# gather, and a --resume that must still produce identical bytes ----
-COORD="$BUILD/tools/lva_sweep_coord"
-if [[ ! -x "$COORD" ]]; then
-    echo "serve_smoke: $COORD not built (cmake --build $BUILD)" >&2
-    exit 1
-fi
+# ---- sharded-sweep leg (docs/serving.md, "Sharded sweeps"): the
+# fleet itself shards one sweep 3 ways, with a worker killed
+# mid-shard, the frontend killed at scatter AND at gather, and a
+# --resume that must still produce identical bytes ----------------
 
-# A killed coordinator cannot tear its workers down; reap the strays
-# it announced before dying.
-reap_coord_workers() {
+# start_fleet LOG [VAR=value ...]: a 3-worker frontend with the given
+# extra environment; sets daemon_pid and port.
+start_fleet() {
     local log="$1"
+    shift
+    env "$@" "$FLEET" --port 0 --fleet 3 > "$log" 2>&1 &
+    daemon_pid=$!
+    port=""
+    for _ in $(seq 1 200); do
+        port="$(grep -oE 'lva_fleet: listening on 127\.0\.0\.1:[0-9]+' \
+                "$log" 2>/dev/null | grep -oE '[0-9]+$' || true)"
+        [[ -n "$port" ]] && return 0
+        if ! kill -0 "$daemon_pid" 2>/dev/null; then
+            echo "serve_smoke: fleet died at startup:" >&2
+            sed 's/^/  /' "$log" >&2
+            exit 1
+        fi
+        sleep 0.05
+    done
+    echo "serve_smoke: fleet never announced its port" >&2
+    exit 1
+}
+
+# sharded_sweep OUT LOG [--resume]: the 28-point sweep, 3 shards.
+sharded_sweep() {
+    "$CLIENT" --port "$port" sweep --driver fig5_ghb_error \
+        --points "$points" --out "$1" --shards 3 "${@:3}" 2> "$2"
+}
+
+# expect_exit WANT GOT WHAT LOG: fail loudly on a wrong exit code.
+expect_exit() {
+    if [[ "$2" -ne "$1" ]]; then
+        echo "serve_smoke: $3 exited $2 (want $1):" >&2
+        sed 's/^/  /' "$4" >&2
+        exit 1
+    fi
+}
+
+# stop_fleet LOG: SIGTERM the frontend and require a drained exit 0.
+stop_fleet() {
+    kill -TERM "$daemon_pid"
+    rc=0
+    wait "$daemon_pid" || rc=$?
+    daemon_pid=""
+    expect_exit 0 "$rc" "fleet on SIGTERM" "$1"
+}
+
+# kill_fleet_workers LOG: a killed frontend cannot tear its workers
+# down; reap the strays it announced before dying.
+kill_fleet_workers() {
     local pid
     while read -r pid; do
         [[ -n "$pid" ]] && kill -9 "$pid" 2>/dev/null || true
-    done < <(grep -oE '\) pid [0-9]+' "$log" | grep -oE '[0-9]+')
+    done < <(grep -oE '\) pid [0-9]+' "$1" | grep -oE '[0-9]+')
 }
 
-export LVA_RESULTS_DIR="$work/coord"
+# aborted_fleet LOG: reap a frontend killed by an injected abort.
+aborted_fleet() {
+    rc=0
+    wait "$daemon_pid" || rc=$?
+    daemon_pid=""
+    kill_fleet_workers "$1"
+    expect_exit 53 "$rc" "aborted fleet" "$1"
+}
 
-echo "serve_smoke: coord — worker kill mid-shard (fleet=3, shards=3)"
+common=(LVA_JOBS=2 "LVA_RESULTS_DIR=$work/coord")
+
+echo "serve_smoke: sharded — worker kill mid-shard (fleet=3, shards=3)"
+start_fleet "$work/coord.kill.log" "${common[@]}" \
+    'LVA_FLEET_FAULT=*:serve.request.0=abort'
 rc=0
-LVA_JOBS=2 LVA_FLEET_FAULT='*:serve.request.0=abort' \
-    "$COORD" --driver fig5_ghb_error --points "$points" \
-    --out "$work/coord.kill.json" --fleet 3 --shards 3 \
-    > "$work/coord.kill.log" 2>&1 || rc=$?
-if [[ "$rc" -ne 0 ]]; then
-    echo "serve_smoke: coordinator exited $rc (want 0):" >&2
-    sed 's/^/  /' "$work/coord.kill.log" >&2
-    exit 1
-fi
+sharded_sweep "$work/coord.kill.json" "$work/coord.kill.client" || rc=$?
+expect_exit 0 "$rc" "sharded sweep" "$work/coord.kill.client"
 cmp "$reference" "$work/coord.kill.json"
-if ! grep -qE 'stealing|respawn|exited' "$work/coord.kill.log"; then
-    echo "serve_smoke: expected worker deaths in the coord log:" >&2
+if ! grep -q 'respawning' "$work/coord.kill.log"; then
+    echo "serve_smoke: expected worker deaths in the fleet log:" >&2
     sed 's/^/  /' "$work/coord.kill.log" >&2
     exit 1
 fi
-echo "serve_smoke: coord — export byte-identical across worker kills"
+stop_fleet "$work/coord.kill.log"
+echo "serve_smoke: sharded — export byte-identical across worker kills"
 
 # The 28-point grid populates all 3 shards, so both kill sites fire.
-echo "serve_smoke: coord — kill at coord.scatter.1, then coord.gather.2"
+# Shard 2 is sent 3 s late on the gather-kill run, so shards 0 and 1
+# are journaled before the kill and the last run must resume them.
+echo "serve_smoke: sharded — kill at coord.scatter.1, then coord.gather.2"
 rm -rf "$work/coord/checkpoints"
+start_fleet "$work/coord.dead.log" "${common[@]}" \
+    'LVA_FAULT=coord.scatter.1=abort'
 rc=0
-LVA_JOBS=2 LVA_FAULT='coord.scatter.1=abort' \
-    "$COORD" --driver fig5_ghb_error --points "$points" \
-    --out "$work/coord.resume.json" --fleet 3 --shards 3 \
-    > "$work/coord.dead.log" 2>&1 || rc=$?
-reap_coord_workers "$work/coord.dead.log"
-if [[ "$rc" -ne 53 ]]; then
-    echo "serve_smoke: scatter abort exited $rc (want 53):" >&2
-    sed 's/^/  /' "$work/coord.dead.log" >&2
-    exit 1
-fi
+sharded_sweep "$work/coord.resume.json" "$work/coord.dead.client" \
+    || rc=$?
+expect_exit 1 "$rc" "client of the scatter-killed fleet" \
+    "$work/coord.dead.client"
+aborted_fleet "$work/coord.dead.log"
+
+start_fleet "$work/coord.dead2.log" "${common[@]}" \
+    'LVA_FAULT=coord.scatter.2=delay:3000,coord.gather.2=abort'
 rc=0
-LVA_JOBS=2 LVA_FAULT='coord.gather.2=abort' \
-    "$COORD" --driver fig5_ghb_error --points "$points" \
-    --out "$work/coord.resume.json" --fleet 3 --shards 3 --resume \
-    > "$work/coord.dead2.log" 2>&1 || rc=$?
-reap_coord_workers "$work/coord.dead2.log"
-if [[ "$rc" -ne 53 ]]; then
-    echo "serve_smoke: gather abort exited $rc (want 53):" >&2
-    sed 's/^/  /' "$work/coord.dead2.log" >&2
+sharded_sweep "$work/coord.resume.json" "$work/coord.dead2.client" \
+    --resume || rc=$?
+expect_exit 1 "$rc" "client of the gather-killed fleet" \
+    "$work/coord.dead2.client"
+aborted_fleet "$work/coord.dead2.log"
+if [[ -e "$work/coord.resume.json" ]]; then
+    echo "serve_smoke: a killed sharded sweep wrote an export" >&2
     exit 1
 fi
 
-echo "serve_smoke: coord — resuming from the checkpoint manifest"
+echo "serve_smoke: sharded — resuming from the checkpoint manifest"
+start_fleet "$work/coord.resume.log" "${common[@]}"
 rc=0
-LVA_JOBS=2 "$COORD" --driver fig5_ghb_error --points "$points" \
-    --out "$work/coord.resume.json" --fleet 3 --shards 3 --resume \
-    --print-stats > "$work/coord.resume.log" 2>&1 || rc=$?
-if [[ "$rc" -ne 0 ]]; then
-    echo "serve_smoke: resumed coordinator exited $rc (want 0):" >&2
-    sed 's/^/  /' "$work/coord.resume.log" >&2
-    exit 1
-fi
+sharded_sweep "$work/coord.resume.json" "$work/coord.resume.client" \
+    --resume || rc=$?
+expect_exit 0 "$rc" "resumed sharded sweep" "$work/coord.resume.client"
 cmp "$reference" "$work/coord.resume.json"
-if ! grep -q 'resumed' "$work/coord.resume.log"; then
-    echo "serve_smoke: expected resumed shards in the coord log:" >&2
-    sed 's/^/  /' "$work/coord.resume.log" >&2
+resumed="$(grep -oE '[0-9]+ resumed' "$work/coord.resume.client" \
+           | grep -oE '[0-9]+' || true)"
+if [[ -z "$resumed" || "$resumed" -le 0 ]]; then
+    echo "serve_smoke: expected resumed points > 0, got" \
+         "'${resumed:-missing}':" >&2
+    sed 's/^/  /' "$work/coord.resume.client" >&2
     exit 1
 fi
-echo "serve_smoke: coord — resumed export byte-identical"
-unset LVA_RESULTS_DIR
+stop_fleet "$work/coord.resume.log"
+echo "serve_smoke: sharded — resumed export byte-identical" \
+     "($resumed points resumed)"
 
 echo "serve_smoke: OK"

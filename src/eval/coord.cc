@@ -1,7 +1,6 @@
 #include "eval/coord.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "eval/service.hh"
@@ -93,24 +92,6 @@ coordContextKey(const Evaluator &eval, u32 shards)
 {
     return sweepContextKey(eval) +
            ";shards=" + std::to_string(shards);
-}
-
-std::vector<u32>
-coordWorkerRank(const std::string &key, u32 workers)
-{
-    lva_assert(workers > 0, "coordWorkerRank: no workers");
-    std::vector<u64> score(workers);
-    for (u32 i = 0; i < workers; ++i)
-        score[i] = fnv1a64(key + "#" + std::to_string(i));
-    std::vector<u32> rank(workers);
-    std::iota(rank.begin(), rank.end(), 0u);
-    // Stable: ties keep the lower index first, matching fleetShard's
-    // first-maximum rule, so rank[0] == fleetShard(key, workers).
-    std::stable_sort(rank.begin(), rank.end(),
-                     [&score](u32 a, u32 b) {
-                         return score[a] > score[b];
-                     });
-    return rank;
 }
 
 std::string
@@ -262,95 +243,6 @@ mergeShards(const ShardPlan &plan, std::size_t pointCount,
                   return a.index < b.index;
               });
     return out;
-}
-
-CoordStats::CoordStats()
-    : shards_(registry_.gauge("coord.shards",
-                              "shards in the sweep plan", "shards")),
-      points_(registry_.gauge("coord.points",
-                              "sweep points across all shards",
-                              "points")),
-      workers_(registry_.gauge(
-          "coord.workers",
-          "fleet workers supervised by the coordinator", "workers")),
-      scattered_(registry_.counter(
-          "coord.scattered", "shard requests dispatched to workers",
-          "requests")),
-      gathered_(registry_.counter(
-          "coord.gathered", "shard responses merged into the export",
-          "responses")),
-      resumed_(registry_.counter(
-          "coord.resumed",
-          "shards restored from the checkpoint manifest", "shards")),
-      stolen_(registry_.counter(
-          "coord.stolen",
-          "shards reassigned to another worker after a death",
-          "shards")),
-      respawns_(registry_.counter("coord.respawns",
-                                  "workers respawned after death",
-                                  "workers")),
-      pointFailures_(registry_.counter(
-          "coord.pointFailures",
-          "points still failed after worker-side retry", "points"))
-{
-}
-
-void
-CoordStats::onPlan(u32 shards, u64 points, u32 workers)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.set(static_cast<double>(shards));
-    points_.set(static_cast<double>(points));
-    workers_.set(static_cast<double>(workers));
-}
-
-void
-CoordStats::onScatter()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scattered_.inc();
-}
-
-void
-CoordStats::onGather()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    gathered_.inc();
-}
-
-void
-CoordStats::onResumed()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    resumed_.inc();
-}
-
-void
-CoordStats::onStolen()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stolen_.inc();
-}
-
-void
-CoordStats::onRespawn()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    respawns_.inc();
-}
-
-void
-CoordStats::onPointFailures(u64 n)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    pointFailures_.inc(n);
-}
-
-StatSnapshot
-CoordStats::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return registry_.snapshot();
 }
 
 } // namespace lva

@@ -1,14 +1,13 @@
 /**
  * @file
- * Sweep sharding for the fleet coordinator (docs/serving.md, "The
- * sweep coordinator").
+ * Sweep sharding for lva_fleet (docs/serving.md, "Sharded sweeps").
  *
- * PR 7's fleet routes *whole* requests to workers, so one large
- * sweep — the unit of work behind every paper figure — still runs
- * inside a single lva_served process. This layer splits one sweep
- * into shards a coordinator (tools/lva_sweep_coord) scatters across
- * the fleet as ordinary `lva-rpc-v1` sweep requests, then merges the
- * shard results back into one `lva-stats-v1` export that is
+ * A fleet routes *whole* requests to workers, so one large sweep —
+ * the unit of work behind every paper figure — would still run
+ * inside a single lva_served process. A sweep request carrying
+ * "shards": N makes tools/lva_fleet split it into shards, send them
+ * across the fleet as ordinary `lva-rpc-v1` sweep requests, and merge
+ * the shard results back into one `lva-stats-v1` export that is
  * byte-identical to a single-process run for any shard count, fleet
  * size, or kill schedule.
  *
@@ -21,7 +20,7 @@
  *    submission order within a shard.
  *  - shardDigest() / coordContextKey(): the identity a shard's
  *    completion record carries in the PR-4 append-only checkpoint
- *    manifest, so a killed coordinator resumes finished shards.
+ *    manifest, so a killed frontend resumes finished shards.
  *  - encodeShardRecord() / decodeShardRecord(): one-line JSON shard
  *    payloads under the existing lva-manifest-v1 schema.
  *  - mergeShards(): shard records -> one SweepOutcome in global
@@ -31,12 +30,10 @@
 #ifndef LVA_EVAL_COORD_HH
 #define LVA_EVAL_COORD_HH
 
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "eval/sweep.hh"
-#include "util/stat_registry.hh"
 
 namespace lva {
 
@@ -57,8 +54,8 @@ struct ShardPlan
      * Per-shard routing key: the shard's sorted, deduplicated
      * workload set joined by ',' plus "#shard:<index>" — exactly
      * what fleetRouteKey() computes for the shard's sweep request,
-     * so a coordinator and an lva_fleet frontend agree on worker
-     * placement. Empty shards get the bare "#shard:<index>" suffix.
+     * so the plan names the worker each shard is routed to. Empty
+     * shards get the bare "#shard:<index>" suffix.
      */
     std::vector<std::string> keys;
 };
@@ -85,15 +82,6 @@ std::string shardDigest(const ShardPlan &plan,
  * manifest written under a different shard plan is never resumed.
  */
 std::string coordContextKey(const Evaluator &eval, u32 shards);
-
-/**
- * Worker preference order for a shard key: every worker index in
- * [0, workers), sorted by descending rendezvous score (ties broken
- * toward the lower index). rank[0] equals fleetShard(key, workers);
- * the tail is the work-stealing order when the preferred worker is
- * dead.
- */
-std::vector<u32> coordWorkerRank(const std::string &key, u32 workers);
 
 /** One shard's completed results, in shard-local submission order. */
 struct ShardRecord
@@ -138,44 +126,6 @@ ShardRecord shardRecordFromResponse(const JsonValue &response,
  */
 SweepOutcome mergeShards(const ShardPlan &plan, std::size_t pointCount,
                          const std::vector<ShardRecord> &records);
-
-/**
- * The coordinator's "coord.*" stats subtree (cataloged in
- * docs/metrics.md). Same discipline as ServeStats: registries are
- * thread-confined by design, so the shard scatter threads go through
- * one mutex — shard completions are no hot path.
- */
-class CoordStats
-{
-  public:
-    CoordStats();
-
-    /** Record the sweep plan dimensions (gauges). */
-    void onPlan(u32 shards, u64 points, u32 workers);
-
-    void onScatter();
-    void onGather();
-    void onResumed();
-    void onStolen();
-    void onRespawn();
-    void onPointFailures(u64 n);
-
-    /** Path-sorted snapshot of the coord.* subtree. */
-    StatSnapshot snapshot() const;
-
-  private:
-    mutable std::mutex mutex_;
-    StatRegistry registry_;
-    Gauge &shards_;
-    Gauge &points_;
-    Gauge &workers_;
-    Counter &scattered_;
-    Counter &gathered_;
-    Counter &resumed_;
-    Counter &stolen_;
-    Counter &respawns_;
-    Counter &pointFailures_;
-};
 
 } // namespace lva
 

@@ -558,8 +558,16 @@ runFullSystem(const FigureSpec &spec, SweepRunner &runner,
               const SweepOptions &opts)
 {
     const MachineConfig machine = sweepMachine(opts);
-    const std::vector<FullSystemConfig> systems =
-        figureSystems(spec, machine);
+    std::vector<FullSystemConfig> systems;
+    try {
+        systems = figureSystems(spec, machine);
+    } catch (const std::runtime_error &e) {
+        // An axis point edited the machine into one validate()
+        // refuses, e.g. a slow NoC plane wider than the mesh.
+        std::fprintf(stderr, "error: %s: %s\n", spec.driver.c_str(),
+                     e.what());
+        return 2;
+    }
     const double scale = runner.evaluator().scale();
     const std::vector<std::string> &names = spec.workloads;
 
@@ -640,6 +648,7 @@ figureSystems(const FigureSpec &spec, const MachineConfig &machine)
     for (const FigureAxisPoint &p : spec.axis) {
         MachineConfig m = machine;
         applyMachineJson(m, parseJson(p.config));
+        m.validate();
         systems.push_back(m.fullSystem(p.lva, p.degree));
     }
     return systems;

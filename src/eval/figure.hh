@@ -120,8 +120,9 @@ std::vector<SweepPoint> figurePoints(const FigureSpec &spec,
 
 /**
  * The replay configurations of full-system @p spec on @p machine:
- * configs[i] is axis point i. The overrides are not validated, so
- * the machine each point builds is exactly the edited one.
+ * configs[i] is axis point i. Each edited machine is validated, so
+ * an override the machine cannot take (a slow NoC plane wider than
+ * the mesh) throws validate()'s std::runtime_error.
  */
 std::vector<FullSystemConfig>
 figureSystems(const FigureSpec &spec, const MachineConfig &machine);
@@ -139,7 +140,9 @@ double compareStat(Compare form, const StatSnapshot &a,
  * headlines, write their CSVs and the stats export, and return the
  * driver exit code (reportSweepFailures). A failed phase-1 point
  * renders as nan; a failed full-system workload drops its row, and
- * averages cover the workloads that completed.
+ * averages cover the workloads that completed. A full-system axis
+ * point the machine cannot take returns 2 before anything runs or
+ * is written.
  */
 int runFigure(const FigureSpec &spec, SweepRunner &runner,
               const SweepOptions &opts);

@@ -16,13 +16,6 @@
 namespace lva {
 namespace {
 
-std::string
-errorResponse(const std::string &message)
-{
-    return std::string("{\"schema\":") + jsonQuote(rpcSchema()) +
-           ",\"ok\":false,\"error\":" + jsonQuote(message) + "}";
-}
-
 /** "{\"schema\":\"lva-rpc-v1\",\"ok\":true,\"op\":<op>" — callers
  *  append further members and the closing brace. */
 std::string
@@ -96,6 +89,13 @@ busyResponse()
 }
 
 std::string
+errorResponse(const std::string &message)
+{
+    return std::string("{\"schema\":") + jsonQuote(rpcSchema()) +
+           ",\"ok\":false,\"error\":" + jsonQuote(message) + "}";
+}
+
+std::string
 fleetRouteKey(const std::string &requestJson)
 {
     try {
@@ -116,7 +116,7 @@ fleetRouteKey(const std::string &requestJson)
                     key += ',';
                 key += n;
             }
-            // Shard-scoped sweeps (the coordinator's scatter) carry a
+            // Shard-scoped sweeps (lva_fleet's sharded scatter) carry a
             // "shard" member so distinct shards of one sweep spread
             // across workers even when their workload sets overlap.
             if (const JsonValue *shard = req.find("shard"))
@@ -501,6 +501,31 @@ machineBaseFromRequest(const JsonValue &req)
     return Evaluator::baselineLva();
 }
 
+/** A sweep reply up to (not including) its shard/detail/export tail. */
+std::string
+sweepSummary(const std::string &driver, std::size_t points,
+             const SweepOutcome &outcome)
+{
+    return okPrefix("sweep") + ",\"driver\":" + jsonQuote(driver) +
+           ",\"points\":" + std::to_string(points) +
+           ",\"failures\":" + std::to_string(outcome.failures.size()) +
+           ",\"resumed\":" + std::to_string(outcome.resumed);
+}
+
+/**
+ * The closing "export" member: the export travels inside the response
+ * as a quoted string; the client unescapes it back to the exact bytes
+ * the driver's exportSweepStats would have written to results/stats/.
+ */
+std::string
+exportMember(const std::string &driver,
+             const std::vector<SweepPoint> &points,
+             const SweepOutcome &outcome)
+{
+    return ",\"export\":" +
+           jsonQuote(renderSweepStats(driver, points, outcome)) + "}";
+}
+
 } // namespace
 
 std::string
@@ -540,24 +565,19 @@ EvalService::handleSweep(const JsonValue &req)
     opts.driver = driver;
     const SweepOutcome outcome = runner_.runChecked(points, opts);
 
-    std::string out = okPrefix("sweep") +
-                      ",\"driver\":" + jsonQuote(driver) +
-                      ",\"points\":" + std::to_string(points.size()) +
-                      ",\"failures\":" +
-                      std::to_string(outcome.failures.size()) +
-                      ",\"resumed\":" + std::to_string(outcome.resumed);
+    std::string out = sweepSummary(driver, points.size(), outcome);
     // A shard-scoped request ("shard": n) is echoed back so the
-    // coordinator can verify the response matches its scatter.
+    // sharding frontend can verify the response matches its scatter.
     if (const JsonValue *shard = req.find("shard"))
         out += ",\"shard\":" + std::to_string(shard->asU64());
 
     const JsonValue *detail = req.find("detail");
     if (detail != nullptr && detail->type == JsonValue::Type::Bool &&
         detail->boolean) {
-        // Detailed response (the coordinator's gather): per-point
+        // Detailed response (a sharded sweep's gather): per-point
         // encoded results (null = failed) plus structured failures,
-        // instead of the rendered shard-local export — the
-        // coordinator merges shards and renders the export itself.
+        // instead of the rendered shard-local export — lva_fleet
+        // merges the shards and renders the export itself.
         out += ",\"results\":[";
         for (std::size_t i = 0; i < outcome.results.size(); ++i) {
             if (i > 0)
@@ -583,11 +603,16 @@ EvalService::handleSweep(const JsonValue &req)
         return out;
     }
 
-    // The export travels inside the response as a quoted string; the
-    // client unescapes it back to the exact bytes the driver's
-    // exportSweepStats would have written to results/stats/.
-    return out + ",\"export\":" +
-           jsonQuote(renderSweepStats(driver, points, outcome)) + "}";
+    return out + exportMember(driver, points, outcome);
+}
+
+std::string
+sweepResponse(const std::string &driver,
+              const std::vector<SweepPoint> &points,
+              const SweepOutcome &outcome)
+{
+    return sweepSummary(driver, points.size(), outcome) +
+           exportMember(driver, points, outcome);
 }
 
 ServeLoop::ServeLoop(EvalService &service, const ServeOptions &opts)

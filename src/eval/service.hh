@@ -59,6 +59,18 @@ u64 busyRetryAfterMs();
 /** The canned at-capacity response (sent by the accept loop). */
 std::string busyResponse();
 
+/** An `ok:false` response carrying @p message as its "error". */
+std::string errorResponse(const std::string &message);
+
+/**
+ * The response to a finished `sweep`: driver, point, failure and
+ * `resumed` counts, and the rendered lva-stats-v1 export. Both a
+ * worker and lva_fleet's sharded path answer with it.
+ */
+std::string sweepResponse(const std::string &driver,
+                          const std::vector<SweepPoint> &points,
+                          const SweepOutcome &outcome);
+
 /**
  * Routing key for a request payload: sweeps and evals key on their
  * (sorted, deduplicated) workload set so every request touching a

@@ -367,19 +367,6 @@ SweepRunner::backoff(const SweepOptions &opts, u32 attempt)
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-std::vector<EvalResult>
-SweepRunner::run(const std::vector<SweepPoint> &points)
-{
-    lva_assert(eval_ != nullptr,
-               "SweepRunner::run needs an Evaluator; use the "
-               "Evaluator constructor");
-    Evaluator &eval = *eval_;
-    return map(points.size(), [&eval, &points](u64 i) {
-        const SweepPoint &p = points[i];
-        return eval.evaluate(p.workload, p.config);
-    });
-}
-
 namespace {
 
 /**

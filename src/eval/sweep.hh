@@ -246,14 +246,6 @@ class SweepRunner
     Evaluator &evaluator() { return *eval_; }
 
     /**
-     * Evaluate every point, in parallel, returning results in
-     * submission order (results[i] corresponds to points[i]). The
-     * historical strict API: the first point failure propagates as
-     * an exception. Prefer runChecked for crash-safe sweeps.
-     */
-    std::vector<EvalResult> run(const std::vector<SweepPoint> &points);
-
-    /**
      * Evaluate every point with per-point isolation, bounded retry,
      * optional deadlines, and (per @p opts) checkpoint/resume via the
      * manifest at "<resultsDir>/checkpoints/<driver>.jsonl".
@@ -266,7 +258,7 @@ class SweepRunner
      * Ordered fan-out of @p count independent tasks: apply @p fn to
      * each index 0..count-1 on the pool and return the results in
      * index order. @p fn must be safe to invoke concurrently; it is
-     * copied into each task, so reference captures must outlive run.
+     * copied into each task, so reference captures must outlive the call.
      */
     template <typename Fn>
     auto

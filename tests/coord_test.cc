@@ -1,19 +1,20 @@
 /**
  * @file
- * Tests for the sweep-sharding coordinator layer (eval/coord) and the
- * lva_sweep_coord binary.
+ * Tests for sweep sharding: the eval/coord plan/merge layer and
+ * lva_fleet's sharded sweeps.
  *
  * The in-process half pins the tentpole property on the pure pieces:
  * for shard counts {1, 3, 7}, scattering a sweep through
  * EvalService::handle (shard-scoped detail requests) and merging the
  * shard records yields renderSweepStats bytes identical to a direct
  * single-process runChecked — including when points fail. Plus the
- * plan/rank invariants, record round-trips, and merge validation.
+ * plan invariants, record round-trips, and merge validation.
  *
- * The cross-process half forks the real lva_sweep_coord binary over a
- * real worker fleet and asserts the acceptance criterion: a worker
- * killed mid-shard and a coordinator killed mid-run (resumed with
- * --resume) still produce a byte-identical export.
+ * The cross-process half forks a real lva_fleet, drives it with
+ * `lva_client sweep --shards 3 [--resume]`, and asserts the
+ * acceptance criterion: a worker killed mid-shard and a frontend
+ * killed mid-sweep (a fresh fleet then asked to resume) still
+ * produce a byte-identical export.
  */
 
 #include <gtest/gtest.h>
@@ -176,9 +177,8 @@ TEST(CoordPlan, MembersKeepSubmissionOrder)
 
 TEST(CoordPlan, KeyMatchesTheShardRequestsRouteKey)
 {
-    // What the coordinator ranks workers by must equal what an
-    // lva_fleet frontend would compute for the shard's actual request
-    // — one placement rule, two implementations.
+    // The plan's per-shard key must equal what lva_fleet routes the
+    // shard's actual request by — one placement rule, two spellings.
     const std::vector<SweepPoint> points = testPoints();
     const ShardPlan plan = planShards(points, 3);
     for (u32 s = 0; s < plan.shards; ++s) {
@@ -190,23 +190,6 @@ TEST(CoordPlan, KeyMatchesTheShardRequestsRouteKey)
             std::to_string(s) + ",\"detail\":true,\"points\":" +
             pointsJson(points, plan.members[s]) + "}";
         EXPECT_EQ(plan.keys[s], fleetRouteKey(request));
-    }
-}
-
-TEST(CoordPlan, WorkerRankLeadsWithTheFleetShard)
-{
-    const std::vector<SweepPoint> points = testPoints();
-    const ShardPlan plan = planShards(points, 3);
-    for (u32 workers : {1u, 2u, 3u, 5u}) {
-        const std::vector<u32> rank =
-            coordWorkerRank(plan.keys[0], workers);
-        ASSERT_EQ(rank.size(), workers);
-        EXPECT_EQ(rank[0], fleetShard(plan.keys[0], workers));
-        std::vector<int> seen(workers, 0);
-        for (const u32 r : rank)
-            ++seen[r];
-        for (const int n : seen)
-            EXPECT_EQ(n, 1); // a permutation, no repeats
     }
 }
 
@@ -386,7 +369,7 @@ TEST(CoordIdentity, RecordsRestoredFromManifestBytesMatchToo)
 }
 
 // ---------------------------------------------------------------------
-// Cross-process acceptance: the real binary, real kills
+// Cross-process acceptance: a real fleet, real kills
 // ---------------------------------------------------------------------
 
 class CoordBinaryTest : public ::testing::Test
@@ -411,19 +394,9 @@ class CoordBinaryTest : public ::testing::Test
     void
     TearDown() override
     {
-        // A killed coordinator never tears its workers down (that is
-        // the point of the kill test); reap the strays by the pids it
-        // announced before dying.
-        const std::string log = slurp(dir_ / "coord.log");
-        const std::string needle = ") pid ";
-        for (std::size_t at = log.find(needle);
-             at != std::string::npos;
-             at = log.find(needle, at + 1)) {
-            const pid_t pid =
-                std::atoi(log.c_str() + at + needle.size());
-            if (pid > 1)
-                kill(pid, SIGKILL);
-        }
+        if (fleet_ > 0)
+            reapFleet(SIGKILL);
+        killStrayWorkers();
         fs::remove_all(dir_);
     }
 
@@ -436,22 +409,60 @@ class CoordBinaryTest : public ::testing::Test
         return all;
     }
 
-    /**
-     * Run the coordinator to completion; returns its exit code
-     * (-signal when killed). @p fault / @p fleetFault arm LVA_FAULT /
-     * LVA_FLEET_FAULT in the child.
-     */
-    int
-    runCoord(const std::string &out, bool resume,
-             const std::string &fault = "",
-             const std::string &fleetFault = "")
+    fs::path
+    fleetLog(int n) const
     {
-        const pid_t pid = fork();
-        if (pid == 0) {
-            FILE *log = std::fopen((dir_ / "coord.log").c_str(), "a");
-            if (log) {
-                dup2(fileno(log), STDOUT_FILENO);
-                dup2(fileno(log), STDERR_FILENO);
+        return dir_ / ("fleet" + std::to_string(n) + ".log");
+    }
+
+    /** Every frontend's log plus the client's, for failure output. */
+    std::string
+    logs() const
+    {
+        std::string all = slurp(dir_ / "client.log");
+        for (int n = 0; n < fleets_; ++n)
+            all += slurp(fleetLog(n));
+        return all;
+    }
+
+    /**
+     * A killed frontend never tears its workers down (that is the
+     * point of the kill test); SIGKILL every worker pid the
+     * frontends announced.
+     */
+    void
+    killStrayWorkers() const
+    {
+        const std::string needle = ") pid ";
+        for (int n = 0; n < fleets_; ++n) {
+            const std::string log = slurp(fleetLog(n));
+            for (std::size_t at = log.find(needle);
+                 at != std::string::npos;
+                 at = log.find(needle, at + 1)) {
+                const pid_t pid =
+                    std::atoi(log.c_str() + at + needle.size());
+                if (pid > 1)
+                    kill(pid, SIGKILL);
+            }
+        }
+    }
+
+    /**
+     * Fork+exec `lva_fleet --fleet 3` and wait for its port; @p fault
+     * / @p fleetFault arm LVA_FAULT / LVA_FLEET_FAULT in the frontend.
+     */
+    void
+    startFleet(const std::string &fault = "",
+               const std::string &fleetFault = "")
+    {
+        const fs::path log = fleetLog(fleets_++);
+        fleet_ = fork();
+        ASSERT_GE(fleet_, 0);
+        if (fleet_ == 0) {
+            FILE *out = std::fopen(log.c_str(), "w");
+            if (out) {
+                dup2(fileno(out), STDOUT_FILENO);
+                dup2(fileno(out), STDERR_FILENO);
             }
             setenv("LVA_SEEDS", "1", 1);
             setenv("LVA_SCALE", "0.02", 1);
@@ -463,22 +474,67 @@ class CoordBinaryTest : public ::testing::Test
                 setenv("LVA_FAULT", fault.c_str(), 1);
             if (!fleetFault.empty())
                 setenv("LVA_FLEET_FAULT", fleetFault.c_str(), 1);
-            const std::string pts = (dir_ / "points.json").string();
-            const std::string outPath = (dir_ / out).string();
-            if (resume)
-                execl(LVA_COORD_BINARY, "lva_sweep_coord", "--driver",
-                      "coord_test", "--points", pts.c_str(), "--out",
-                      outPath.c_str(), "--fleet", "3", "--shards",
-                      "3", "--resume", static_cast<char *>(nullptr));
-            else
-                execl(LVA_COORD_BINARY, "lva_sweep_coord", "--driver",
-                      "coord_test", "--points", pts.c_str(), "--out",
-                      outPath.c_str(), "--fleet", "3", "--shards",
-                      "3", static_cast<char *>(nullptr));
+            execl(LVA_FLEET_BINARY, "lva_fleet", "--port", "0",
+                  "--fleet", "3", static_cast<char *>(nullptr));
             _exit(127);
         }
+        const std::string needle = "lva_fleet: listening on 127.0.0.1:";
+        for (int tries = 0; tries < 300 && port_ == 0; ++tries) {
+            const std::string text = slurp(log);
+            const std::size_t at = text.find(needle);
+            if (at != std::string::npos &&
+                text.find('\n', at) != std::string::npos)
+                port_ = std::atoi(text.c_str() + at + needle.size());
+            else
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+        }
+        ASSERT_GT(port_, 0) << logs();
+    }
+
+    /** `lva_client sweep --shards 3 [--resume]`; its exit code. */
+    int
+    sweep(const std::string &out, bool resume) const
+    {
+        const std::string cmd =
+            std::string("'") + LVA_CLIENT_BINARY + "' --port " +
+            std::to_string(port_) +
+            " sweep --driver coord_test --points '" +
+            (dir_ / "points.json").string() + "' --out '" +
+            (dir_ / out).string() + "' --shards 3" +
+            (resume ? " --resume" : "") + " >> '" +
+            (dir_ / "client.log").string() + "' 2>&1";
+        const int status = std::system(cmd.c_str());
+        if (status < 0 || !WIFEXITED(status))
+            return -1;
+        return WEXITSTATUS(status);
+    }
+
+    /**
+     * Send @p sig (0 = none) to the frontend and reap it; returns its
+     * exit code, or -signal when it was killed. A frontend still
+     * running after 30 s is SIGKILLed, so a kill that never happened
+     * fails the test instead of hanging it.
+     */
+    int
+    reapFleet(int sig = 0)
+    {
+        if (sig != 0)
+            kill(fleet_, sig);
         int status = 0;
-        waitpid(pid, &status, 0);
+        pid_t done = 0;
+        for (int tries = 0; tries < 600 && done == 0; ++tries) {
+            done = waitpid(fleet_, &status, WNOHANG);
+            if (done == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+        }
+        if (done == 0) {
+            kill(fleet_, SIGKILL);
+            waitpid(fleet_, &status, 0);
+        }
+        fleet_ = -1;
+        port_ = 0;
         if (WIFSIGNALED(status))
             return -WTERMSIG(status);
         return WEXITSTATUS(status);
@@ -486,40 +542,47 @@ class CoordBinaryTest : public ::testing::Test
 
     fs::path dir_;
     std::vector<SweepPoint> points_;
+    pid_t fleet_ = -1;
+    int port_ = 0;
+    int fleets_ = 0; ///< frontends started (one log each)
 };
 
 TEST_F(CoordBinaryTest, WorkerKillMidShardStillMatchesDirectBytes)
 {
     // Every worker's first incarnation aborts on its first request:
-    // each shard's first exchange dies mid-flight and the coordinator
-    // must steal/respawn its way to a complete, identical export.
-    const int rc =
-        runCoord("out.json", false, "", "*:serve.request.0=abort");
-    EXPECT_EQ(rc, 0) << slurp(dir_ / "coord.log");
+    // each shard's first exchange dies mid-flight, and the fleet must
+    // respawn its way to a complete, identical export.
+    startFleet("", "*:serve.request.0=abort");
+    EXPECT_EQ(sweep("out.json", false), 0) << logs();
     EXPECT_EQ(slurp(dir_ / "out.json"), directExport(points_));
+    EXPECT_NE(slurp(fleetLog(0)).find("respawning"), std::string::npos)
+        << logs();
+    EXPECT_EQ(reapFleet(SIGTERM), 0) << logs();
 }
 
 TEST_F(CoordBinaryTest, CoordinatorKillThenResumeMatchesDirectBytes)
 {
-    // Kill the coordinator at the gather of a shard that provably has
-    // points (derived from the plan, not assumed): the manifest holds
-    // whatever completed first; --resume finishes the rest and the
-    // bytes still match. The same schedule also proves a *scatter*
-    // kill resumes, since unscattered shards are simply absent.
+    // Kill the coordinating frontend at the gather of a shard that
+    // provably has points (derived from the plan, not assumed): the
+    // journal holds whatever completed first; a fresh fleet asked to
+    // --resume finishes the rest and the bytes still match. The same
+    // schedule also proves a *scatter* kill resumes, since
+    // unscattered shards are simply absent.
     const ShardPlan plan = planShards(points_, 3);
     u32 victim = 0;
     for (u32 s = 0; s < plan.shards; ++s)
         if (!plan.members[s].empty())
             victim = s;
-    const int rc = runCoord(
-        "dead.json", false,
-        "coord.gather." + std::to_string(victim) + "=abort");
-    EXPECT_EQ(rc, faultExitCode()) << slurp(dir_ / "coord.log");
+    startFleet("coord.gather." + std::to_string(victim) + "=abort");
+    EXPECT_EQ(sweep("dead.json", false), 1) << logs();
+    EXPECT_EQ(reapFleet(), faultExitCode()) << logs();
     EXPECT_FALSE(fs::exists(dir_ / "dead.json"));
+    killStrayWorkers();
 
-    const int rc2 = runCoord("out.json", true);
-    EXPECT_EQ(rc2, 0) << slurp(dir_ / "coord.log");
+    startFleet();
+    EXPECT_EQ(sweep("out.json", true), 0) << logs();
     EXPECT_EQ(slurp(dir_ / "out.json"), directExport(points_));
+    EXPECT_EQ(reapFleet(SIGTERM), 0) << logs();
 }
 
 } // namespace

@@ -80,7 +80,8 @@ const Golden kGoldens[] = {
     {"stats/ablation_table_assoc.json", "afcde75a20ff3154"},
 };
 
-/** A full-system export's digest on each pinned machine. */
+/** A full-system export's digest on each pinned machine; nullptr
+ *  when the driver refuses that machine and writes no file. */
 struct FsGolden
 {
     const char *file;
@@ -90,7 +91,9 @@ struct FsGolden
 };
 
 // Captured from the hand-written full-system drivers at seeds=1,
-// scale=0.05 on each machine (identical at LVA_JOBS=1 and 4).
+// scale=0.05 on each machine (identical at LVA_JOBS=1 and 4). The
+// heterogeneous-NoC leg's 4-node slow plane does not fit the 2-core
+// machine's 2-node mesh, so that driver refuses the machine (exit 2).
 const FsGolden kFsGoldens[] = {
     {"fig10a_speedup.csv", "ac534122b50241d1", "18b9133703f19e6f",
      "b7254d98ff07cf53"},
@@ -106,10 +109,10 @@ const FsGolden kFsGoldens[] = {
      "43ee624893c7881b"},
     {"stats/ablation_slow_fetch.json", "ceaa07eb349d628b",
      "a94366397bf6cb88", "a31b417c5dc31f38"},
-    {"ablation_hetero_noc.csv", "18927e86fabf0034", "7c2191def3ed1d4e",
+    {"ablation_hetero_noc.csv", "18927e86fabf0034", nullptr,
      "e91eb8b92664594c"},
-    {"stats/ablation_hetero_noc.json", "b382312967eb5548",
-     "74cf06ed95041744", "ab9f64685c06049f"},
+    {"stats/ablation_hetero_noc.json", "b382312967eb5548", nullptr,
+     "ab9f64685c06049f"},
     {"ablation_coherence.csv", "4b3c08e6ee1d5188", "f12f6469ce880b64",
      "08bfd2e0ccf8d75d"},
     {"stats/ablation_coherence.json", "0ee01deb5a4ba474",
@@ -148,11 +151,13 @@ resultsDirFor(const std::string &tag)
 /**
  * Run every spec whose fullSystem flag is @p fullSystem into @p dir
  * on @p machine (null = Table II) with @p jobs workers, expecting a
- * clean exit; returns the files the specs name.
+ * clean exit, or exit 2 from the drivers in @p refused; returns the
+ * files the clean specs name.
  */
 std::set<std::string>
 runSpecs(const std::string &dir, bool fullSystem, u32 jobs,
-         std::shared_ptr<const MachineConfig> machine = nullptr)
+         std::shared_ptr<const MachineConfig> machine = nullptr,
+         const std::set<std::string> &refused = {})
 {
     ::setenv("LVA_RESULTS_DIR", dir.c_str(), 1);
     std::set<std::string> written;
@@ -164,7 +169,11 @@ runSpecs(const std::string &dir, bool fullSystem, u32 jobs,
         SweepOptions opts;
         opts.driver = spec.driver;
         opts.machine = machine;
-        EXPECT_EQ(runFigure(spec, runner, opts), 0) << spec.driver;
+        const bool refuses = refused.count(spec.driver) > 0;
+        EXPECT_EQ(runFigure(spec, runner, opts), refuses ? 2 : 0)
+            << spec.driver;
+        if (refuses)
+            continue;
         for (const FigureTable &t : spec.tables)
             written.insert(t.csv);
         written.insert("stats/" + spec.driver + ".json");
@@ -197,25 +206,31 @@ expectFullSystemGoldenExports(u32 jobs)
         const char *tag;
         std::shared_ptr<const MachineConfig> machine;
         const char *FsGolden::*digest;
+        std::set<std::string> refused;
     } machines[] = {
-        {"table2", nullptr, &FsGolden::table2},
+        {"table2", nullptr, &FsGolden::table2, {}},
         {"2core",
          std::make_shared<MachineConfig>(
              machineFromFile(examples + "/machine-2core.json")),
-         &FsGolden::twoCore},
+         &FsGolden::twoCore, {"ablation_hetero_noc"}},
         {"hetero",
          std::make_shared<MachineConfig>(
              machineFromFile(examples + "/machine-hetero.json")),
-         &FsGolden::hetero},
+         &FsGolden::hetero, {}},
     };
     for (const auto &m : machines) {
         const std::string dir = resultsDirFor(
             std::string("fs_") + m.tag + "_j" + std::to_string(jobs));
         const std::set<std::string> written =
-            runSpecs(dir, true, jobs, m.machine);
+            runSpecs(dir, true, jobs, m.machine, m.refused);
 
         std::set<std::string> pinned;
         for (const FsGolden &g : kFsGoldens) {
+            if (g.*m.digest == nullptr) {
+                EXPECT_FALSE(std::filesystem::exists(dir + "/" + g.file))
+                    << m.tag << ": " << g.file;
+                continue;
+            }
             pinned.insert(g.file);
             EXPECT_EQ(digestOf(dir + "/" + g.file), g.*m.digest)
                 << m.tag << ": " << g.file;
@@ -315,19 +330,27 @@ TEST(FigureIdentity, FullSystemAxisEditsTheMachine)
     EXPECT_EQ(fig10[5].approx.valueDelay,
               FullSystemConfig::lva(16).approx.valueDelay);
 
-    // The override is not validated: on the 2-core machine the
-    // hetero leg runs a 4-node slow plane under a 2-node mesh, as
-    // the hand-written ablation did.
-    MachineConfig dual =
-        machineFromFile(std::string(LVA_EXAMPLES_DIR) + "/machine-2core.json");
+    // The hetero leg adds a 4-node slow plane: it fits Table II's
+    // 4-node mesh, and the 2-core machine's 2-node mesh refuses it
+    // with validate()'s message.
     const std::vector<FullSystemConfig> hetero =
-        figureSystems(figureSpec("ablation_hetero_noc"), dual);
+        figureSystems(figureSpec("ablation_hetero_noc"), defaultMachine());
     ASSERT_EQ(hetero.size(), 3u);
     EXPECT_FALSE(hetero[1].heteroNoc);
     EXPECT_TRUE(hetero[2].heteroNoc);
-    EXPECT_EQ(hetero[2].mesh.nodes(), 2u);
+    EXPECT_EQ(hetero[2].mesh.nodes(), 4u);
     EXPECT_EQ(hetero[2].slowMesh.nodes(), 4u);
     EXPECT_EQ(hetero[2].approx.approxDegree, 4u);
+    MachineConfig dual =
+        machineFromFile(std::string(LVA_EXAMPLES_DIR) + "/machine-2core.json");
+    try {
+        figureSystems(figureSpec("ablation_hetero_noc"), dual);
+        ADD_FAILURE() << "the 2-core machine took a 4-node slow plane";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("slowNoc"),
+                  std::string::npos)
+            << e.what();
+    }
 
     // The baseline legs keep the machine's own settings.
     dual.protocol = CoherenceProtocol::Mesi;

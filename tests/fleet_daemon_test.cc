@@ -6,6 +6,8 @@
  * with bytes identical to the direct driver export, a worker killed
  * by an injected fault is respawned and the rerouted request still
  * matches, and SIGTERM / `shutdown` drain the whole tree cleanly.
+ * Sharded sweeps ("shards": N) get their outside-input checks here
+ * too, and the rule that two of them never run at once.
  *
  * Binary paths arrive via the LVA_FLEET_BINARY / LVA_CLIENT_BINARY
  * compile definitions; the worker binary is discovered by the
@@ -29,6 +31,8 @@
 
 #include "eval/evaluator.hh"
 #include "eval/sweep.hh"
+#include "util/checkpoint.hh"
+#include "util/net.hh"
 
 namespace lva {
 namespace {
@@ -121,7 +125,8 @@ class FleetDaemonTest : public ::testing::Test
     /** Fork+exec the frontend; stdout/stderr land in log_. */
     void
     startFleet(int fleet, const std::string &fleetFault = "",
-               const std::string &cache = "")
+               const std::string &cache = "",
+               const std::string &fault = "")
     {
         pid_ = fork();
         ASSERT_GE(pid_, 0);
@@ -134,6 +139,9 @@ class FleetDaemonTest : public ::testing::Test
             setenv("LVA_SEEDS", "1", 1);
             setenv("LVA_SCALE", "0.02", 1);
             setenv("LVA_JOBS", "1", 1);
+            setenv("LVA_RESULTS_DIR", (dir_ / "results").c_str(), 1);
+            if (!fault.empty())
+                setenv("LVA_FAULT", fault.c_str(), 1);
             if (!fleetFault.empty())
                 setenv("LVA_FLEET_FAULT", fleetFault.c_str(), 1);
             const std::string n = std::to_string(fleet);
@@ -210,6 +218,18 @@ class FleetDaemonTest : public ::testing::Test
         return client("sweep --driver fleet_daemon_test --points '" +
                       (dir_ / "points.json").string() + "' --out '" +
                       (dir_ / out).string() + "'");
+    }
+
+    /** One raw lva-rpc-v1 exchange with the frontend. */
+    JsonValue
+    rpc(const std::string &request) const
+    {
+        TcpStream conn = TcpStream::connectTo(
+            "127.0.0.1", static_cast<u16>(port_), 60000);
+        writeFrame(conn, request, 60000);
+        std::string response;
+        EXPECT_TRUE(readFrame(conn, response, 60000));
+        return parseJson(response);
     }
 
     /** Reap the frontend; returns its exit code (-1 = abnormal). */
@@ -289,6 +309,109 @@ TEST_F(FleetDaemonTest, ConcurrentClientsGetIdenticalBytes)
     const std::string direct = directExport();
     EXPECT_EQ(slurp(dir_ / "out0.json"), direct);
     EXPECT_EQ(slurp(dir_ / "out1.json"), direct);
+    kill(pid_, SIGTERM);
+    EXPECT_EQ(reap(), 0) << slurp(log_);
+}
+
+/** A sweep request for @p driver with extra @p members. */
+std::string
+sweepRequest(const std::string &driver, const std::string &members,
+             const std::string &points = kSweepPoints)
+{
+    return "{\"schema\":\"lva-rpc-v1\",\"op\":\"sweep\",\"driver\":\"" +
+           driver + "\"" + members + ",\"points\":" + points + "}";
+}
+
+TEST_F(FleetDaemonTest, ShardedSweepRejectsBadMembersAndKeepsServing)
+{
+    // Outside input: each malformed sharded sweep is answered
+    // ok:false and the frontend keeps serving.
+    startFleet(2);
+    const struct
+    {
+        const char *driver;
+        const char *members;
+        const char *points;
+        const char *error; ///< substring of the error message
+    } bad[] = {
+        {"fleet_daemon_test", ",\"shards\":0", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":4097", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":-1", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":1.5", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":\"3\"", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":null", kSweepPoints, "shards"},
+        {"fleet_daemon_test", ",\"shards\":2,\"resume\":\"yes\"",
+         kSweepPoints, "resume"},
+        {"fleet_daemon_test", ",\"shards\":2,\"resume\":1", kSweepPoints,
+         "resume"},
+        {"fleet_daemon_test", ",\"shards\":2",
+         "[{\"label\":\"x\",\"workload\":\"swaptions\","
+         "\"config\":{\"turbo\":1}}]",
+         "turbo"},
+        {"fleet_daemon_test", ",\"shards\":2",
+         "[{\"label\":\"x\",\"colour\":1}]", "colour"},
+        {"fleet_daemon_test", ",\"shards\":2", "{\"label\":\"x\"}",
+         "array"},
+        {"fleet_daemon_test", ",\"shards\":2", "[]", "no points"},
+        {"../escape", ",\"shards\":2", kSweepPoints, "driver"},
+    };
+    for (const auto &b : bad) {
+        const JsonValue resp =
+            rpc(sweepRequest(b.driver, b.members, b.points));
+        SCOPED_TRACE(std::string(b.members) + " " + b.points);
+        EXPECT_EQ(resp.at("ok").boolean, false);
+        EXPECT_NE(resp.at("error").asString().find(b.error),
+                  std::string::npos)
+            << resp.at("error").asString();
+    }
+    EXPECT_FALSE(fs::exists(dir_ / "results" / "escape.coord.jsonl"));
+
+    // Still serving: a well-formed sharded sweep answers the export.
+    const JsonValue ok =
+        rpc(sweepRequest("fleet_daemon_test", ",\"shards\":2"));
+    ASSERT_TRUE(ok.at("ok").boolean) << slurp(log_);
+    EXPECT_EQ(ok.at("export").asString(), directExport());
+    EXPECT_EQ(ok.at("resumed").asU64(), 0u);
+    kill(pid_, SIGTERM);
+    EXPECT_EQ(reap(), 0) << slurp(log_);
+}
+
+TEST_F(FleetDaemonTest, ConcurrentShardedClientsGetIdenticalBytes)
+{
+    // Sharded sweeps of one driver share one journal file, so the
+    // frontend runs them one at a time; both clients still get the
+    // direct-driver bytes. Every shard gather is held for 800 ms, so
+    // two sweeps that never overlap take at least 1.6 s.
+    startFleet(3, "", "", "coord.gather.*=delay:800");
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<int> rc(2, -2);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c)
+        clients.emplace_back([&, c] {
+            rc[static_cast<std::size_t>(c)] = client(
+                "sweep --driver fleet_daemon_test --shards 3 --points '" +
+                (dir_ / "points.json").string() + "' --out '" +
+                (dir_ / ("out" + std::to_string(c) + ".json")).string() +
+                "'");
+        });
+    for (auto &t : clients)
+        t.join();
+    EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              1600);
+    ASSERT_EQ(rc[0], 0) << slurp(dir_ / "client.log") << slurp(log_);
+    ASSERT_EQ(rc[1], 0) << slurp(dir_ / "client.log") << slurp(log_);
+    const std::string direct = directExport();
+    EXPECT_EQ(slurp(dir_ / "out0.json"), direct);
+    EXPECT_EQ(slurp(dir_ / "out1.json"), direct);
+
+    // A resumed sweep restores every journaled point.
+    const JsonValue resumed = rpc(sweepRequest(
+        "fleet_daemon_test", ",\"shards\":3,\"resume\":true"));
+    ASSERT_TRUE(resumed.at("ok").boolean) << slurp(log_);
+    EXPECT_EQ(resumed.at("export").asString(), direct);
+    EXPECT_EQ(resumed.at("resumed").asU64(), 4u);
     kill(pid_, SIGTERM);
     EXPECT_EQ(reap(), 0) << slurp(log_);
 }

@@ -58,6 +58,12 @@ fig5Points(const ApproxMemory::Config &base)
     return figurePoints(figureSpec("fig5_ghb_error"), base);
 }
 
+/**
+ * Digest of the fig5 export as the pre-refactor tree rendered it. That
+ * tree evaluated the points without the checked engine, so its
+ * snapshots carry none of the sweep-runtime gauges (eval.retries.*,
+ * eval.failures.*) runChecked folds in; they are dropped here.
+ */
 std::string
 fig5ExportDigest(u32 jobs,
                  const ApproxMemory::Config &base =
@@ -66,7 +72,13 @@ fig5ExportDigest(u32 jobs,
     Evaluator eval(kSeeds, kScale);
     SweepRunner runner(eval, jobs);
     const std::vector<SweepPoint> points = fig5Points(base);
-    const std::vector<EvalResult> results = runner.run(points);
+    std::vector<EvalResult> results =
+        runner.runChecked(points, {}).results;
+    for (EvalResult &r : results)
+        for (const EvalMetricDef &d : sweepRuntimeDefs())
+            std::erase_if(r.stats.entries, [&d](const SnapEntry &e) {
+                return e.path == d.path;
+            });
     return hexU64(
         fnv1a64(renderSweepStats("fig5_ghb_error", points, results)));
 }

@@ -338,6 +338,25 @@ TEST(ServeMachine, ExplicitDefaultMachineMatchesMachinelessExport)
               without.at("export").asString());
 }
 
+TEST(ServeService, PlainDaemonAnswersAShardedSweepUnsharded)
+{
+    // "shards" / "resume" are lva_fleet's members; sent to a single
+    // daemon they are ignored and the export is the unsharded one.
+    EvalService service(kSeeds, kScale, testOptions());
+    const std::string base =
+        std::string("{\"schema\":\"lva-rpc-v1\",\"op\":\"sweep\","
+                    "\"driver\":\"serve_test\",\"points\":") +
+        kSweepPoints;
+    const JsonValue plain = parseResponse(service.handle(base + "}"));
+    const JsonValue sharded = parseResponse(
+        service.handle(base + ",\"shards\":3,\"resume\":true}"));
+    ASSERT_TRUE(responseOk(plain));
+    ASSERT_TRUE(responseOk(sharded));
+    EXPECT_EQ(sharded.at("export").asString(),
+              plain.at("export").asString());
+    EXPECT_EQ(sharded.at("resumed").asU64(), 0u);
+}
+
 TEST(ServeMachine, BadMachineObjectIsAnErrorResponseNotAThrow)
 {
     EvalService service(kSeeds, kScale, testOptions());

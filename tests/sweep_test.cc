@@ -64,11 +64,13 @@ TEST(SweepRunner, ParallelMatchesSerialBitForBit)
 
     Evaluator serial_eval(2, 0.05);
     SweepRunner serial(serial_eval, 1);
-    const std::vector<EvalResult> expect = serial.run(points);
+    const std::vector<EvalResult> expect =
+        serial.runChecked(points, {}).results;
 
     Evaluator parallel_eval(2, 0.05);
     SweepRunner parallel(parallel_eval, 4);
-    const std::vector<EvalResult> got = parallel.run(points);
+    const std::vector<EvalResult> got =
+        parallel.runChecked(points, {}).results;
 
     ASSERT_EQ(expect.size(), got.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -104,7 +106,8 @@ TEST(SweepRunner, ConcurrentPointsShareOneGoldenRun)
         points.push_back({"lva", "canneal", Evaluator::baselineLva()});
 
     SweepRunner runner(eval, 4);
-    const std::vector<EvalResult> results = runner.run(points);
+    const std::vector<EvalResult> results =
+        runner.runChecked(points, {}).results;
     for (const EvalResult &r : results) {
         EXPECT_EQ(r.preciseMpki, results[0].preciseMpki);
         EXPECT_EQ(r.preciseFetches, results[0].preciseFetches);
@@ -117,7 +120,10 @@ TEST(SweepRunner, SerialRunnerUsesNoPool)
     SweepRunner runner(eval, 1);
     EXPECT_EQ(runner.jobs(), 1u);
     const auto out =
-        runner.run({{"precise", "x264", Evaluator::preciseConfig()}});
+        runner
+            .runChecked({{"precise", "x264", Evaluator::preciseConfig()}},
+                        {})
+            .results;
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NEAR(out[0].normMpki, 1.0, 1e-9);
 }
@@ -163,7 +169,8 @@ TEST(SweepRunner, StatsJsonExportIsJobCountInvariant)
         setenv("LVA_RESULTS_DIR", dir.c_str(), 1);
         Evaluator eval(2, 0.05);
         SweepRunner runner(eval, jobs);
-        const std::vector<EvalResult> results = runner.run(points);
+        const std::vector<EvalResult> results =
+            runner.runChecked(points, {}).results;
         const std::string written =
             exportSweepStats("sweep_json_test", points, results);
         unsetenv("LVA_RESULTS_DIR");

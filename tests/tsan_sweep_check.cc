@@ -92,12 +92,14 @@ main()
 
     Evaluator serial_eval(2, 0.05);
     SweepRunner serial(serial_eval, 1);
-    const std::vector<EvalResult> expect = serial.run(points);
+    const std::vector<EvalResult> expect =
+        serial.runChecked(points, {}).results;
 
     Evaluator par_eval(2, 0.05);
     SweepRunner par(par_eval, 8);
     for (int pass = 0; pass < 2; ++pass) {
-        const std::vector<EvalResult> got = par.run(points);
+        const std::vector<EvalResult> got =
+            par.runChecked(points, {}).results;
         check(got.size() == expect.size(), "result count");
         for (std::size_t i = 0; i < expect.size(); ++i)
             check(identical(expect[i], got[i]),

@@ -8,6 +8,8 @@
  *       --config '{"ghb":2}'
  *   lva_client --port 7777 sweep --driver fig5_ghb_error \
  *       --points points.json --out stats.json
+ *   lva_client --port 7777 sweep --driver fig5_ghb_error \
+ *       --points points.json --shards 3 --resume   # lva_fleet
  *   lva_client --port 7777 stats
  *   lva_client --port 7777 shutdown
  *
@@ -22,6 +24,11 @@
  *                   instead of stdout
  *   --machine FILE  (eval/sweep) lva-machine-v1 topology file
  *                   (docs/topology.md), embedded in the request
+ *   --shards N      (sweep) ask lva_fleet to shard the sweep N ways
+ *                   (request member "shards"; a plain lva_served
+ *                   ignores it and answers the same export)
+ *   --resume        (sweep) with --shards: reuse the shards lva_fleet
+ *                   already journaled (request member "resume")
  *
  * Busy handling: a `busy` response carries `retryAfterMs`; the client
  * honors it with deterministic (jitter-free) doubling backoff, capped
@@ -66,6 +73,8 @@ struct Options
     std::string pointsFile;
     std::string outFile;
     std::string machineFile;
+    std::string shards; ///< digits, spliced as the "shards" member
+    bool resume = false;
 };
 
 [[noreturn]] void
@@ -77,7 +86,7 @@ usage(const char *argv0)
         "  OP: ping | stats | shutdown\n"
         "      eval --workload NAME [--config JSON] [--machine FILE]\n"
         "      sweep --driver NAME --points FILE|- [--out FILE]\n"
-        "            [--machine FILE]\n",
+        "            [--machine FILE] [--shards N [--resume]]\n",
         argv0);
     std::exit(2);
 }
@@ -111,6 +120,15 @@ parse(int argc, char **argv)
             opt.outFile = need(i);
         } else if (arg == "--machine") {
             opt.machineFile = need(i);
+        } else if (arg == "--shards") {
+            // The server range-checks it; here it must be a number.
+            opt.shards = need(i);
+            if (opt.shards.empty() ||
+                opt.shards.find_first_not_of("0123456789") !=
+                    std::string::npos)
+                usage(argv[0]);
+        } else if (arg == "--resume") {
+            opt.resume = true;
         } else if (arg == "ping" || arg == "stats" ||
                    arg == "shutdown" || arg == "eval" ||
                    arg == "sweep") {
@@ -127,6 +145,8 @@ parse(int argc, char **argv)
         usage(argv[0]);
     if (opt.op == "sweep" &&
         (opt.driver.empty() || opt.pointsFile.empty()))
+        usage(argv[0]);
+    if (opt.resume && opt.shards.empty())
         usage(argv[0]);
     return opt;
 }
@@ -184,8 +204,12 @@ buildRequest(const Options &opt)
         // and validates it, so a malformed file is reported with the
         // server's diagnostics rather than duplicated client checks.
         req += ",\"driver\":" + jsonQuote(opt.driver) +
-               machineMember(opt) +
-               ",\"points\":" + readAll(opt.pointsFile);
+               machineMember(opt);
+        if (!opt.shards.empty())
+            req += ",\"shards\":" + opt.shards;
+        if (opt.resume)
+            req += ",\"resume\":true";
+        req += ",\"points\":" + readAll(opt.pointsFile);
     }
     return req + "}";
 }
@@ -207,12 +231,14 @@ handleSweepResponse(const Options &opt, const JsonValue &resp)
     }
     const u64 failures = resp.at("failures").asU64();
     std::fprintf(stderr,
-                 "lva_client: sweep %s: %llu points, %llu failures"
-                 "%s%s\n",
+                 "lva_client: sweep %s: %llu points, %llu failures, "
+                 "%llu resumed%s%s\n",
                  opt.driver.c_str(),
                  static_cast<unsigned long long>(
                      resp.at("points").asU64()),
                  static_cast<unsigned long long>(failures),
+                 static_cast<unsigned long long>(
+                     resp.at("resumed").asU64()),
                  opt.outFile.empty() ? "" : ", export -> ",
                  opt.outFile.c_str());
     return failures == 0 ? 0 : 3;

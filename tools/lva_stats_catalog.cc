@@ -31,7 +31,6 @@
 #include <cstring>
 
 #include "core/approx_memory.hh"
-#include "eval/coord.hh"
 #include "eval/evaluator.hh"
 #include "eval/service.hh"
 #include "eval/sweep.hh"
@@ -127,10 +126,6 @@ main(int argc, char **argv)
     // The evaluation daemon's process-wide serving subtree
     // ("serve.*", exported by the lva-rpc-v1 `stats` op).
     appendSnapshot(rows, ServeStats().snapshot());
-
-    // The sweep coordinator's supervision subtree ("coord.*",
-    // dumped by lva_sweep_coord --print-stats).
-    appendSnapshot(rows, CoordStats().snapshot());
 
     // Derived gauges folded into exported snapshots by the evaluator
     // ("eval.*"), the static-workload census ("workload.*") and the
