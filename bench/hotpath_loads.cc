@@ -15,17 +15,16 @@
  * copies it to the repo-root BENCH_hotpath.json, so every PR extends
  * the trajectory.  Wall-clock numbers vary by host, but each
  * scenario's "value_digest" is a deterministic fold of every value
- * the memory system returned: scenarios that must be value-identical
- * (scalar vs batched) are asserted equal right here, and refactors
- * can diff digests against a baseline run.
+ * the memory system returned, so refactors can diff digests against a
+ * baseline run.
  *
- * A fourth scenario, fs_replay, covers phase 2: fluidanimate is
+ * A third scenario, fs_replay, covers phase 2: fluidanimate is
  * recorded once at a small fixed scale and its precise baseline is
  * replayed through the full-system timing model. Its "loads" are trace
  * events, and its digest folds the replay's cycles, instructions, L2
  * accesses and flit hops.
  *
- * LVA_HOTPATH_LOADS scales the timed loop of the three phase-1
+ * LVA_HOTPATH_LOADS scales the timed loop of the two phase-1
  * scenarios (default 4,000,000 loads per scenario; CI uses a small
  * value for a schema smoke test). LVA_HOTPATH_REPS repeats each
  * scenario (default 3) and reports the fastest repetition — the
@@ -33,7 +32,6 @@
  * produce the identical value_digest.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,7 +167,7 @@ recordRepetition(ScenarioResult &out, u32 r, u64 digest, double secs)
 }
 
 /**
- * Replay @p n loads through the scalar (per-call) entry point and
+ * Replay @p n loads, one load() call each, and
  * fold every returned value into the digest.
  */
 u64
@@ -186,44 +184,9 @@ replayScalar(MemoryBackend &mem, const std::vector<Access> &stream,
     return digest;
 }
 
-/**
- * Replay the same @p n loads through the batched loadMany() entry in
- * runs of 16. loadMany processes requests in array order, so the
- * digest must match replayScalar's exactly (asserted in main).
- */
-u64
-replayBatched(MemoryBackend &mem, const std::vector<Access> &stream,
-              u64 n, u64 digest)
-{
-    constexpr u32 kBatch = 16;
-    const u32 mask = kStreamLen - 1;
-    LoadRequest reqs[kBatch];
-    Value got[kBatch];
-    u64 i = 0;
-    while (i < n) {
-        const u32 m =
-            static_cast<u32>(std::min<u64>(kBatch, n - i));
-        for (u32 j = 0; j < m; ++j) {
-            const Access &a = stream[static_cast<u32>(i + j) & mask];
-            reqs[j].addr = a.addr;
-            reqs[j].precise = a.precise;
-            reqs[j].pc = a.pc;
-            reqs[j].tid = a.tid;
-            reqs[j].approximable = a.approximable;
-            reqs[j].dependent = false;
-        }
-        mem.loadMany(reqs, got, m);
-        for (u32 j = 0; j < m; ++j)
-            digest = foldWord(digest, got[j].bits());
-        i += m;
-    }
-    return digest;
-}
-
 ScenarioResult
 runScenario(const std::string &name, const ApproxMemory::Config &cfg,
-            const std::vector<Access> &stream, u64 n, u32 reps,
-            bool batched = false)
+            const std::vector<Access> &stream, u64 n, u32 reps)
 {
     ScenarioResult out;
     out.name = name;
@@ -234,12 +197,11 @@ runScenario(const std::string &name, const ApproxMemory::Config &cfg,
         // state, so every repetition must produce the same digest.
         ApproxMemory mem(cfg);
         MemoryBackend &backend = mem; // the workload-facing boundary
-        auto replay = batched ? replayBatched : replayScalar;
-        replay(backend, stream, kWarmupLoads, 0);
+        replayScalar(backend, stream, kWarmupLoads, 0);
 
         BenchTimer timer("hotpath_loads/" + name);
         const u64 digest =
-            replay(backend, stream, n, 0xcbf29ce484222325ULL);
+            replayScalar(backend, stream, n, 0xcbf29ce484222325ULL);
         const double secs = timer.seconds();
         mem.finish();
 
@@ -353,12 +315,6 @@ main()
         runScenario("precise_scalar", precise, stream, n, reps));
     scenarios.push_back(
         runScenario("lva_scalar", lva, stream, n, reps));
-    scenarios.push_back(runScenario("lva_batched", lva, stream, n,
-                                    reps, /*batched=*/true));
-    lva_assert(scenarios[2].valueDigest == scenarios[1].valueDigest,
-               "batched replay diverged from scalar (%s vs %s)",
-               scenarios[2].valueDigest.c_str(),
-               scenarios[1].valueDigest.c_str());
     scenarios.push_back(runFsReplay(reps));
 
     std::printf("\n%-18s %14s %12s  %s\n", "scenario", "loads/sec",

@@ -2,21 +2,24 @@
 # Validate the documentation against the code, both ways:
 #
 #   1. docs/metrics.md     catalog markers  <->  lva_stats_catalog dump
-#   2. README.md           knobs markers    <->  "LVA_*" literals in
-#                                               src/ tools/ bench/
-#   3. docs/reproducing.md drivers markers  <->  executables declared in
+#   2. docs/reproducing.md drivers markers  <->  executables declared in
 #                                               bench/CMakeLists.txt
-#   4. docs/performance.md hotpath markers  <->  sources fenced with
+#   3. docs/performance.md hotpath markers  <->  sources fenced with
 #                                               "lva-hot-path: begin"
-#   5. docs/serving.md     serve-stats markers <-> the serve.* subtree
+#   4. docs/serving.md     serve-stats markers <-> the serve.* subtree
 #                                               of the catalog dump
-#   6. docs/topology.md    machine-schema markers <-> the parser's own
+#   5. docs/topology.md    machine-schema markers <-> the parser's own
 #                                               key list (the catalog
 #                                               binary's
 #                                               --machine-schema dump)
 #
 # Every documented entry must exist in the code and every code entry
 # must be documented; either direction failing fails the script.
+#
+# The README knob table is not checked here: lva_audit's
+# knob-undocumented / knob-stale-doc rules diff it against the "LVA_*"
+# literals under src/ tools/ bench/ (ctest lva_audit_tree,
+# scripts/lint.sh).
 #
 # Usage: scripts/check_docs.sh [path-to-lva_stats_catalog]
 #   (default: build/tools/lva_stats_catalog)
@@ -73,17 +76,7 @@ doc_entries docs/metrics.md catalog > "$workdir/stats.doc"
 check catalog docs/metrics.md "$workdir/stats.code" "$workdir/stats.doc" \
       "stat paths"
 
-# 2. Environment knobs: every "LVA_*" string literal the sources read
-#    vs the consolidated README table. (Build-time LVA_* CMake options
-#    never appear as string literals in the sources, so the scan stays
-#    runtime-only.)
-grep -rhoE '"LVA_[A-Z_0-9]+"' src tools bench | tr -d '"' \
-    | LC_ALL=C sort -u > "$workdir/knobs.code"
-doc_entries README.md knobs > "$workdir/knobs.doc"
-check knobs README.md "$workdir/knobs.code" "$workdir/knobs.doc" \
-      "environment knobs"
-
-# 3. Bench drivers: every executable bench/CMakeLists.txt declares
+# 2. Bench drivers: every executable bench/CMakeLists.txt declares
 #    (lva_bench, lva_figure, lva_microbench) vs the docs/reproducing.md
 #    map. The figure drivers share one source file, so the CMake names,
 #    not the bench/*.cc basenames, are the driver list.
@@ -97,7 +90,7 @@ doc_entries docs/reproducing.md drivers > "$workdir/drivers.doc"
 check drivers docs/reproducing.md \
       "$workdir/drivers.code" "$workdir/drivers.doc" "bench drivers"
 
-# 4. Hot-path fences: every source with an "lva-hot-path: begin"
+# 3. Hot-path fences: every source with an "lva-hot-path: begin"
 #    marker vs the fenced-file table in docs/performance.md, so the
 #    lint-enforced no-allocation zones and their documentation cannot
 #    drift apart in either direction.
@@ -109,7 +102,7 @@ doc_entries docs/performance.md hotpath > "$workdir/hotpath.doc"
 check hotpath docs/performance.md \
       "$workdir/hotpath.code" "$workdir/hotpath.doc" "hot-path fences"
 
-# 5. Serving stats: the serve.* / serve.cache.* subtree of the
+# 4. Serving stats: the serve.* / serve.cache.* subtree of the
 #    registry dump vs the serve-stats table in docs/serving.md, so
 #    the serving doc always describes exactly the counters the fleet
 #    exports (the full catalog in docs/metrics.md is gate 1; this
@@ -120,7 +113,7 @@ doc_entries docs/serving.md serve-stats > "$workdir/serve.doc"
 check serve-stats docs/serving.md \
       "$workdir/serve.code" "$workdir/serve.doc" "serving stat paths"
 
-# 6. Machine schema: every lva-machine-v1 key the parser accepts
+# 5. Machine schema: every lva-machine-v1 key the parser accepts
 #    (machineSchemaKeys(), dumped by --machine-schema) vs the key
 #    table in docs/topology.md — a config key without a documented
 #    row, or a documented row for a key the parser dropped, fails.

@@ -54,8 +54,7 @@ done
 # Seconds-scale evaluation; identical settings for driver and daemon.
 export LVA_SEEDS=1
 export LVA_SCALE=0.05
-unset LVA_CHECKPOINT LVA_RESUME LVA_FAULT LVA_POINT_TIMEOUT_MS \
-      LVA_RETRIES LVA_TRACE
+unset LVA_CHECKPOINT LVA_RESUME LVA_FAULT LVA_RETRIES LVA_TRACE
 
 work="$(mktemp -d)"
 daemon_pid=""

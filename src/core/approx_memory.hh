@@ -152,9 +152,6 @@ class ApproxMemory : public MemoryBackend
                      const Value &precise, bool approximable,
                      bool dependent = false);
 
-    /** A run of loads, in array order (see MemoryBackend::loadMany). */
-    void loadManyDirect(const LoadRequest *reqs, Value *out, u32 n);
-
     // MemoryBackend interface
     void store(ThreadId tid, LoadSiteId pc, Addr addr) override;
     void tickInstructions(ThreadId tid, u64 n) override;

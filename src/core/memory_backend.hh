@@ -10,16 +10,14 @@
  * return values.
  *
  * Dispatch is sealed on the load path (the per-access hot path): every
- * backend carries a BackendKind tag and the non-virtual load()/
- * loadMany() entry points switch on it, routing the overwhelmingly
- * common kinds (ApproxMemory, NullBackend) to direct calls that the
- * compiler can inline, while anything else falls through to the
- * loadVirtual() virtual as before. The virtual boundary remains at the
- * run level (Workload::run takes MemoryBackend&); only the per-load
- * indirect branch is gone. loadMany() amortizes even the remaining
- * call per access: workloads push runs of independent accesses through
- * the hierarchy in one call (requests are processed strictly in array
- * order, so results are byte-identical to the scalar loop).
+ * backend carries a BackendKind tag and the one non-virtual load()
+ * entry point switches on it, routing the overwhelmingly common kinds
+ * (ApproxMemory, NullBackend) to direct calls that the compiler can
+ * inline, while anything else falls through to the loadVirtual()
+ * virtual as before. The virtual boundary remains at the run level
+ * (Workload::run takes MemoryBackend&); only the per-load indirect
+ * branch is gone. Every load goes through load() on its own, as the
+ * paper's Pin tool clobbers one load value at a time.
  */
 
 #ifndef LVA_CORE_MEMORY_BACKEND_HH
@@ -37,24 +35,13 @@ enum class BackendKind : u8 {
     Null,    ///< NullBackend (golden runs: precise, no bookkeeping)
 };
 
-/** One load for the batched loadMany() entry point. */
-struct LoadRequest
-{
-    Addr addr = 0;
-    Value precise{};      ///< the value stored at addr in this run
-    LoadSiteId pc = 0;
-    ThreadId tid = 0;
-    bool approximable = false;
-    bool dependent = false;
-};
-
 /**
  * Abstract memory-system backend.
  *
  * Implementations: ApproxMemory (phase-1 functional simulation with
  * per-thread private L1 caches and approximators), TraceRecorder
  * (phase-2 trace capture for the full-system timing model).
- * Subclasses implement loadVirtual(); callers use load()/loadMany().
+ * Subclasses implement loadVirtual(); callers use load().
  */
 class MemoryBackend
 {
@@ -87,14 +74,6 @@ class MemoryBackend
     Value load(ThreadId tid, LoadSiteId pc, Addr addr,
                const Value &precise, bool approximable,
                bool dependent = false);
-
-    /**
-     * A run of @p n independent loads, processed strictly in array
-     * order: out[i] is exactly what load(reqs[i]...) would have
-     * returned in a scalar loop, for any backend. One boundary call
-     * per batch instead of per access.
-     */
-    void loadMany(const LoadRequest *reqs, Value *out, u32 n);
 
     /**
      * A load of non-annotated data whose value the model never needs

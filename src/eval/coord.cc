@@ -11,17 +11,6 @@
 namespace lva {
 namespace {
 
-std::string
-encodePointFailure(const PointFailure &f)
-{
-    return "{\"index\":" + std::to_string(f.index) +
-           ",\"label\":" + jsonQuote(f.label) +
-           ",\"workload\":" + jsonQuote(f.workload) +
-           ",\"error\":" + jsonQuote(f.error) +
-           ",\"attempts\":" + std::to_string(f.attempts) +
-           ",\"timedOut\":" + (f.timedOut ? "true" : "false") + "}";
-}
-
 PointFailure
 decodePointFailure(const JsonValue &v)
 {
@@ -34,11 +23,11 @@ decodePointFailure(const JsonValue &v)
     if (attempts > 0xffffffffull)
         throw std::runtime_error("shard failure: attempts out of range");
     f.attempts = static_cast<u32>(attempts);
-    const JsonValue &timedOut = v.at("timedOut");
-    if (timedOut.type != JsonValue::Type::Bool)
+    // Always false when written (encodePointFailure); still checked,
+    // since a shard reply is outside input.
+    if (v.at("timedOut").type != JsonValue::Type::Bool)
         throw std::runtime_error(
             "shard failure: timedOut must be a bool");
-    f.timedOut = timedOut.boolean;
     return f;
 }
 

@@ -572,11 +572,10 @@ runFullSystem(const FigureSpec &spec, SweepRunner &runner,
     const std::vector<std::string> &names = spec.workloads;
 
     // One task per workload: record its precise trace once, then
-    // replay it under every axis point. The task owns copies of what
-    // it reads: one abandoned at its deadline may outlive this call.
+    // replay it under every axis point.
     const auto outcome = runner.mapChecked(
         names.size(),
-        [spec, machine, systems, scale](u64 w) {
+        [&spec, &machine, &systems, scale](u64 w) {
             const std::string &name = spec.workloads[w];
             std::vector<FullSystemResult> runs = replayConfigs(
                 recordPreciseTraces(name, 1, scale, &machine), systems);

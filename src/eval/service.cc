@@ -178,6 +178,34 @@ resolveServeOptions(ServeOptions opts)
     return opts;
 }
 
+bool
+applyServeFlag(const std::string &flag, const char *text, ServeFlags &out)
+{
+    const char *f = flag.c_str();
+    ServeOptions &s = out.serve;
+    if (flag == "--port")
+        s.port = static_cast<u16>(flagU64(f, text, 0, 65535));
+    else if (flag == "--workers")
+        s.workers = static_cast<u32>(flagU64(f, text, 1, 256));
+    else if (flag == "--queue")
+        s.queueCap = static_cast<u32>(flagU64(f, text, 1, 1000000));
+    else if (flag == "--deadline-ms")
+        s.deadlineMs = flagU64(f, text, 1, 86400000);
+    else if (flag == "--retries")
+        s.maxAttempts = static_cast<u32>(flagU64(f, text, 0, 99)) + 1;
+    else if (flag == "--jobs")
+        s.jobs = static_cast<u32>(flagU64(f, text, 1, 256));
+    else if (flag == "--cache")
+        s.cacheCap = flagU64(f, text, 0, 1000000);
+    else if (flag == "--seeds")
+        out.seeds = static_cast<u32>(flagU64(f, text, 1, 64));
+    else if (flag == "--scale")
+        out.scale = flagF64(f, text, 1e-6, 4.0);
+    else
+        return false;
+    return true;
+}
+
 ServeStats::ServeStats()
     : connections_(registry_.counter(
           "serve.connections", "client connections accepted",
@@ -588,16 +616,9 @@ EvalService::handleSweep(const JsonValue &req)
         }
         out += "],\"failureDetail\":[";
         for (std::size_t i = 0; i < outcome.failures.size(); ++i) {
-            const PointFailure &f = outcome.failures[i];
             if (i > 0)
                 out += ',';
-            out += "{\"index\":" + std::to_string(f.index) +
-                   ",\"label\":" + jsonQuote(f.label) +
-                   ",\"workload\":" + jsonQuote(f.workload) +
-                   ",\"error\":" + jsonQuote(f.error) +
-                   ",\"attempts\":" + std::to_string(f.attempts) +
-                   ",\"timedOut\":" +
-                   (f.timedOut ? "true" : "false") + "}";
+            out += encodePointFailure(outcome.failures[i]);
         }
         out += "]}";
         return out;

@@ -129,6 +129,25 @@ struct ServeOptions
 /** Resolve @p opts against the LVA_SERVE_* knobs and defaults. */
 ServeOptions resolveServeOptions(ServeOptions opts);
 
+/** lva_served's command-line settings: the serving options plus the
+ *  evaluator's seeds and scale (0 = LVA_SEEDS / LVA_SCALE). */
+struct ServeFlags
+{
+    ServeOptions serve;
+    u32 seeds = 0;
+    double scale = 0.0;
+};
+
+/**
+ * Apply lva_served's numeric flag @p flag with operand @p text to
+ * @p out; false when @p flag is not one of them. Each operand must lie
+ * in the range its LVA_* knob enforces (--port 0..65535, --workers
+ * 1..256, ...); anything else exits 2 (flagU64 in util/env_knob.hh).
+ * lva_fleet checks the flags it forwards to its workers here too.
+ */
+bool applyServeFlag(const std::string &flag, const char *text,
+                    ServeFlags &out);
+
 /**
  * The process-wide "serve.*" stats subtree (cataloged in
  * docs/metrics.md, exported by the `stats` op). Registries are

@@ -217,9 +217,8 @@ renderStatsJson(const std::string &driver,
                 out += ", \"workload\": " + jsonQuote(f.workload);
             out += ", \"error\": " + jsonQuote(f.error);
             out += ", \"attempts\": " + std::to_string(f.attempts);
-            out += std::string(", \"timedOut\": ") +
-                   (f.timedOut ? "true" : "false");
-            out += "}";
+            // Always false; kept so the lva-stats-v1 schema holds.
+            out += ", \"timedOut\": false}";
         }
         out += ffirst ? "]" : "\n  ]";
     }

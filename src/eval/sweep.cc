@@ -1,10 +1,13 @@
 #include "eval/sweep.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <thread>
 
 #include "eval/stat_report.hh"
 #include "sim/machine_config.hh"
@@ -41,20 +44,6 @@ loadMachineOrDie(const std::string &path)
         std::fprintf(stderr, "error: %s\n", e.what());
         std::exit(2);
     }
-}
-
-/** Strict decimal CLI-operand parse; exits(2) on junk. */
-u64
-cliU64(const std::string &flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "error: %s expects a decimal count, got "
-                     "'%s'\n", flag.c_str(), text);
-        std::exit(2);
-    }
-    return static_cast<u64>(parsed);
 }
 
 /**
@@ -136,13 +125,6 @@ resolveSweepOptions(SweepOptions opts)
         const u64 retries = envKnobU64("LVA_RETRIES", 0, 0, 99);
         opts.maxAttempts = static_cast<u32>(retries) + 1;
     }
-    if (opts.backoffBaseMs == 0)
-        opts.backoffBaseMs = 10;
-    if (opts.backoffCapMs == 0)
-        opts.backoffCapMs = 1000;
-    if (opts.timeoutMs == 0)
-        opts.timeoutMs =
-            envKnobU64("LVA_POINT_TIMEOUT_MS", 0, 0, 86400000);
     if (!opts.machine) {
         // String-valued config path; validated by the parser it feeds.
         // lva-audit: allow(knob-unvalidated)
@@ -173,25 +155,21 @@ sweepOptionsFromCli(const std::string &driver, int argc, char **argv)
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--retries") {
+            // LVA_RETRIES's bounds.
             opts.maxAttempts =
-                static_cast<u32>(cliU64(arg, operand()) + 1);
-        } else if (arg == "--timeout-ms") {
-            opts.timeoutMs = cliU64(arg, operand());
+                static_cast<u32>(flagU64(arg.c_str(), operand(), 0, 99)) + 1;
         } else if (arg == "--machine") {
             opts.machine = loadMachineOrDie(operand());
         } else {
             std::fprintf(stderr,
                          "usage: %s [--checkpoint] [--resume] "
-                         "[--retries N] [--timeout-ms N] "
-                         "[--machine FILE]\n"
+                         "[--retries N] [--machine FILE]\n"
                          "  --checkpoint   record completed points in "
                          "a resumable manifest\n"
                          "  --resume       skip points already in the "
                          "manifest (implies --checkpoint)\n"
                          "  --retries N    re-attempt a failed point "
-                         "up to N times\n"
-                         "  --timeout-ms N abandon a point not done "
-                         "within N ms (needs LVA_JOBS >= 2)\n"
+                         "up to N (0..99) times\n"
                          "  --machine FILE run on the lva-machine-v1 "
                          "topology in FILE (docs/topology.md; also "
                          "LVA_MACHINE)\n",
@@ -350,40 +328,23 @@ SweepRunner::SweepRunner(u32 jobs)
 }
 
 void
-SweepRunner::warnIfTimeoutUnsupported(const SweepOptions &opts)
+SweepRunner::backoff(u32 attempt)
 {
-    if (opts.timeoutMs > 0)
-        lva_warn("per-point timeouts need a worker pool (jobs >= 2); "
-                 "running without deadlines");
-}
-
-void
-SweepRunner::backoff(const SweepOptions &opts, u32 attempt)
-{
+    constexpr u64 kBaseMs = 10;
+    constexpr u64 kCapMs = 1000;
     const u32 shift = attempt > 20 ? 20 : attempt - 1;
-    u64 ms = static_cast<u64>(opts.backoffBaseMs) << shift;
-    if (ms > opts.backoffCapMs)
-        ms = opts.backoffCapMs;
+    const u64 ms = std::min(kBaseMs << shift, kCapMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-namespace {
-
-/**
- * Shared state kept alive by every worker task: a timed-out point's
- * task may still be queued or running when runChecked returns, so
- * anything it touches lives behind this shared_ptr, not on the
- * caller's stack.
- */
-struct CheckedCtx
+std::vector<u64>
+SweepRunner::allIndices(u64 count)
 {
-    SweepOptions opts;
-    std::vector<SweepPoint> points;
-    Evaluator *eval = nullptr;
-    std::shared_ptr<CheckpointManifest> manifest;
-};
-
-} // namespace
+    std::vector<u64> indices(count);
+    for (u64 i = 0; i < count; ++i)
+        indices[i] = i;
+    return indices;
+}
 
 SweepOutcome
 SweepRunner::runChecked(const std::vector<SweepPoint> &points,
@@ -392,11 +353,7 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
     lva_assert(eval_ != nullptr,
                "SweepRunner::runChecked needs an Evaluator; use the "
                "Evaluator constructor");
-    auto ctx = std::make_shared<CheckedCtx>();
-    ctx->opts = resolveSweepOptions(opts);
-    ctx->points = points;
-    ctx->eval = eval_;
-    SweepOptions &eff = ctx->opts;
+    SweepOptions eff = resolveSweepOptions(opts);
     if ((eff.checkpoint || eff.resume) && eff.driver.empty()) {
         lva_warn("sweep: checkpoint/resume requested without a driver "
                  "name; disabled");
@@ -408,57 +365,59 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
     for (u64 i = 0; i < n; ++i)
         digests[i] = sweepPointDigest(points[i]);
 
+    std::unique_ptr<CheckpointManifest> manifest;
     if (eff.checkpoint) {
         const std::string path =
             resultsPath("checkpoints/" + eff.driver + ".jsonl");
         const std::filesystem::path p(path);
         if (p.has_parent_path())
             std::filesystem::create_directories(p.parent_path());
-        ctx->manifest = std::make_shared<CheckpointManifest>(
+        manifest = std::make_unique<CheckpointManifest>(
             path, eff.driver, sweepContextKey(*eval_, eff), eff.resume);
     }
 
     SweepOutcome out;
     out.results.resize(n);
-    std::vector<u8> pending(n, 1);
-    if (ctx->manifest && eff.resume) {
-        for (u64 i = 0; i < n; ++i) {
-            const std::string *payload = ctx->manifest->find(digests[i]);
-            if (!payload)
-                continue;
+    std::vector<u64> pending;
+    pending.reserve(n);
+    for (u64 i = 0; i < n; ++i) {
+        const std::string *payload =
+            manifest && eff.resume ? manifest->find(digests[i]) : nullptr;
+        if (payload) {
             try {
                 out.results[i] = decodeEvalResult(parseJson(*payload));
-                pending[i] = 0;
                 ++out.resumed;
+                continue;
             } catch (const std::exception &e) {
                 lva_warn("manifest record for point %llu unusable "
                          "(%s); re-running it",
                          static_cast<unsigned long long>(i), e.what());
             }
         }
-        if (out.resumed > 0)
-            lva_inform("%s: resumed %llu of %llu points from %s",
-                       eff.driver.c_str(),
-                       static_cast<unsigned long long>(out.resumed),
-                       static_cast<unsigned long long>(n),
-                       ctx->manifest->path().c_str());
+        pending.push_back(i);
     }
+    if (out.resumed > 0)
+        lva_inform("%s: resumed %llu of %llu points from %s",
+                   eff.driver.c_str(),
+                   static_cast<unsigned long long>(out.resumed),
+                   static_cast<unsigned long long>(n),
+                   manifest->path().c_str());
 
     // The whole per-point story — isolation, retry, runtime gauges,
     // durable checkpoint append — runs inside the worker task, so
     // completed points hit the manifest in completion order and
     // survive a kill even while the collector is blocked elsewhere.
-    auto work = [ctx](u64 i, const std::string &digest) {
-        const SweepPoint &p = ctx->points[i];
-        Evaluator &eval = *ctx->eval;
+    Evaluator &eval = *eval_;
+    auto work = [&](u64 i) {
+        const SweepPoint &p = points[i];
         Tried<EvalResult> tried = attemptTask<EvalResult>(
-            ctx->opts, i,
+            eff, i,
             [&eval, &p] { return eval.evaluate(p.workload, p.config); });
         if (tried.value) {
             applySweepRuntime(*tried.value, tried.attempts);
-            if (ctx->manifest)
-                ctx->manifest->append(digest,
-                                      encodeEvalResult(*tried.value));
+            if (manifest)
+                manifest->append(digests[i],
+                                 encodeEvalResult(*tried.value));
         } else {
             tried.failure->label = p.label;
             tried.failure->workload = p.workload;
@@ -466,52 +425,26 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
         return tried;
     };
 
-    auto settle = [&](u64 i, Tried<EvalResult> &&tried) {
+    collect(pending, work, [&](u64 i, Tried<EvalResult> &&tried) {
         if (tried.failure) {
             out.results[i] = failedPlaceholder();
             out.failures.push_back(std::move(*tried.failure));
         } else {
             out.results[i] = std::move(*tried.value);
         }
-    };
-
-    if (!pool_) {
-        warnIfTimeoutUnsupported(eff);
-        for (u64 i = 0; i < n; ++i) {
-            if (!pending[i])
-                continue;
-            settle(i, work(i, digests[i]));
-        }
-        return out;
-    }
-
-    std::vector<std::future<Tried<EvalResult>>> futures(n);
-    for (u64 i = 0; i < n; ++i) {
-        if (!pending[i])
-            continue;
-        futures[i] = pool_->submit(
-            [work, i, digest = digests[i]] { return work(i, digest); });
-    }
-    for (u64 i = 0; i < n; ++i) {
-        if (!pending[i])
-            continue;
-        if (eff.timeoutMs > 0 &&
-            futures[i].wait_for(std::chrono::milliseconds(
-                eff.timeoutMs)) == std::future_status::timeout) {
-            PointFailure f;
-            f.index = i;
-            f.label = points[i].label;
-            f.workload = points[i].workload;
-            f.error = "point deadline expired";
-            f.attempts = eff.maxAttempts;
-            f.timedOut = true;
-            out.results[i] = failedPlaceholder();
-            out.failures.push_back(std::move(f));
-            continue; // abandoned; ctx keeps its state alive
-        }
-        settle(i, futures[i].get());
-    }
+    });
     return out;
+}
+
+std::string
+encodePointFailure(const PointFailure &f)
+{
+    return "{\"index\":" + std::to_string(f.index) +
+           ",\"label\":" + jsonQuote(f.label) +
+           ",\"workload\":" + jsonQuote(f.workload) +
+           ",\"error\":" + jsonQuote(f.error) +
+           ",\"attempts\":" + std::to_string(f.attempts) +
+           ",\"timedOut\":false}";
 }
 
 std::string

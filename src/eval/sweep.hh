@@ -15,21 +15,19 @@
  * isolate each point — an exception, a tripped lva_assert, or an
  * injected fault becomes a structured PointFailure instead of
  * aborting the batch — with bounded retry under capped exponential
- * backoff, optional per-point deadlines, and an append-only fsync'd
- * checkpoint manifest (util/checkpoint) that lets a killed sweep
- * restart and skip every point it already completed.
+ * backoff and an append-only fsync'd checkpoint manifest
+ * (util/checkpoint) that lets a killed sweep restart and skip every
+ * point it already completed.
  */
 
 #ifndef LVA_EVAL_SWEEP_HH
 #define LVA_EVAL_SWEEP_HH
 
-#include <chrono>
 #include <functional>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -60,7 +58,6 @@ struct PointFailure
     std::string workload;  ///< workload name ("" for map tasks)
     std::string error;     ///< what() of the final failed attempt
     u32 attempts = 1;      ///< attempts consumed (== maxAttempts)
-    bool timedOut = false; ///< deadline expiry, not an exception
 };
 
 /**
@@ -84,22 +81,6 @@ struct SweepOptions
      *  default 1: deterministic simulations only transiently fail
      *  under fault injection or resource exhaustion). */
     u32 maxAttempts = 0;
-
-    /** First retry backoff in ms (default 10); doubles per retry. */
-    u32 backoffBaseMs = 0;
-
-    /** Backoff ceiling in ms (default 1000). */
-    u32 backoffCapMs = 0;
-
-    /**
-     * Per-point deadline in ms (LVA_POINT_TIMEOUT_MS; 0 = none).
-     * Requires a pool (jobs >= 2): the result collector abandons a
-     * point whose future is not ready within the deadline of the
-     * collector reaching it. A coarse watchdog against hung points,
-     * not a precise per-point timer — and inherently timing
-     * dependent, so leave it off when byte-identical reruns matter.
-     */
-    u64 timeoutMs = 0;
 
     /**
      * Machine topology the sweep runs on (--machine <file>, else the
@@ -143,15 +124,15 @@ struct MapOutcome
 
 /**
  * Resolve SweepOptions against the environment knobs and defaults
- * (LVA_CHECKPOINT, LVA_RESUME, LVA_RETRIES, LVA_POINT_TIMEOUT_MS).
+ * (LVA_CHECKPOINT, LVA_RESUME, LVA_RETRIES, LVA_MACHINE).
  */
 SweepOptions resolveSweepOptions(SweepOptions opts);
 
 /**
  * The standard robustness CLI shared by every sweep-driving bench
- * binary: --checkpoint, --resume, --retries N, --timeout-ms N,
- * --machine FILE (plus the environment knobs, which explicit flags
- * override). Unknown arguments exit(2) with a usage message.
+ * binary: --checkpoint, --resume, --retries N (0..99), --machine FILE
+ * (plus the environment knobs, which explicit flags override).
+ * Unknown arguments and malformed or out-of-range operands exit(2).
  */
 SweepOptions sweepOptionsFromCli(const std::string &driver, int argc,
                                  char **argv);
@@ -246,10 +227,10 @@ class SweepRunner
     Evaluator &evaluator() { return *eval_; }
 
     /**
-     * Evaluate every point with per-point isolation, bounded retry,
-     * optional deadlines, and (per @p opts) checkpoint/resume via the
-     * manifest at "<resultsDir>/checkpoints/<driver>.jsonl".
-     * Deterministic for any LVA_JOBS when timeouts are off.
+     * Evaluate every point with per-point isolation, bounded retry
+     * and (per @p opts) checkpoint/resume via the manifest at
+     * "<resultsDir>/checkpoints/<driver>.jsonl". Deterministic for
+     * any LVA_JOBS.
      */
     SweepOutcome runChecked(const std::vector<SweepPoint> &points,
                             const SweepOptions &opts = {});
@@ -257,8 +238,8 @@ class SweepRunner
     /**
      * Ordered fan-out of @p count independent tasks: apply @p fn to
      * each index 0..count-1 on the pool and return the results in
-     * index order. @p fn must be safe to invoke concurrently; it is
-     * copied into each task, so reference captures must outlive the call.
+     * index order. @p fn must be safe to invoke concurrently; every
+     * call has finished before map() returns or rethrows.
      */
     template <typename Fn>
     auto
@@ -269,17 +250,8 @@ class SweepRunner
                       "map tasks must return a value");
         std::vector<R> out;
         out.reserve(count);
-        if (!pool_) { // serial path: identical to the historical loop
-            for (u64 i = 0; i < count; ++i)
-                out.push_back(fn(i));
-            return out;
-        }
-        std::vector<std::future<R>> futures;
-        futures.reserve(count);
-        for (u64 i = 0; i < count; ++i)
-            futures.push_back(pool_->submit([fn, i] { return fn(i); }));
-        for (auto &f : futures)
-            out.push_back(f.get());
+        collect(allIndices(count), fn,
+                [&out](u64, R &&r) { out.push_back(std::move(r)); });
         return out;
     }
 
@@ -307,56 +279,20 @@ class SweepRunner
 
         MapOutcome<R> out;
         out.results.resize(count);
-
-        auto attempt = [fn, eff](u64 i) {
-            return attemptTask<R>(eff, i, [fn, i] { return fn(i); });
-        };
-
-        auto labelFailure = [&](PointFailure &f) {
-            if (labeler)
-                f.label = labeler(f.index);
-        };
-
-        if (!pool_) {
-            warnIfTimeoutUnsupported(eff);
-            for (u64 i = 0; i < count; ++i) {
-                auto tried = attempt(i);
+        collect(
+            allIndices(count),
+            [&](u64 i) {
+                return attemptTask<R>(eff, i, [&fn, i] { return fn(i); });
+            },
+            [&](u64 i, Tried<R> &&tried) {
                 if (tried.failure) {
-                    labelFailure(*tried.failure);
+                    if (labeler)
+                        tried.failure->label = labeler(i);
                     out.failures.push_back(std::move(*tried.failure));
                 } else {
                     out.results[i] = std::move(*tried.value);
                 }
-            }
-            return out;
-        }
-
-        std::vector<std::future<Tried<R>>> futures;
-        futures.reserve(count);
-        for (u64 i = 0; i < count; ++i)
-            futures.push_back(
-                pool_->submit([attempt, i] { return attempt(i); }));
-        for (u64 i = 0; i < count; ++i) {
-            if (eff.timeoutMs > 0 &&
-                futures[i].wait_for(std::chrono::milliseconds(
-                    eff.timeoutMs)) == std::future_status::timeout) {
-                PointFailure f;
-                f.index = i;
-                f.error = "point deadline expired";
-                f.attempts = eff.maxAttempts;
-                f.timedOut = true;
-                labelFailure(f);
-                out.failures.push_back(std::move(f));
-                continue; // abandon the future; the pool drains it
-            }
-            Tried<R> tried = futures[i].get();
-            if (tried.failure) {
-                labelFailure(*tried.failure);
-                out.failures.push_back(std::move(*tried.failure));
-            } else {
-                out.results[i] = std::move(*tried.value);
-            }
-        }
+            });
         return out;
     }
 
@@ -370,10 +306,51 @@ class SweepRunner
         u32 attempts = 1;
     };
 
-    static void warnIfTimeoutUnsupported(const SweepOptions &opts);
+    /** Backoff before retry @p attempt (1-based): 10 ms doubling
+     *  per retry, capped at 1000 ms. */
+    static void backoff(u32 attempt);
 
-    /** Backoff before retry @p attempt (1-based), capped. */
-    static void backoff(const SweepOptions &opts, u32 attempt);
+    /** 0, 1, ..., @p count - 1. */
+    static std::vector<u64> allIndices(u64 count);
+
+    /**
+     * The one fan-out-and-collect loop: run @p task(i) for every i in
+     * @p indices — inline in order on the serial path, else on the
+     * pool — and hand each result to @p settle(i, result) in
+     * @p indices order. Every task has finished before this returns
+     * (or rethrows a task's exception), so @p task and @p settle may
+     * capture the caller's locals by reference.
+     */
+    template <typename Task, typename Settle>
+    void
+    collect(const std::vector<u64> &indices, Task task, Settle settle)
+    {
+        using T = std::invoke_result_t<Task &, u64>;
+        if (!pool_) { // serial path: identical to the historical loop
+            for (const u64 i : indices)
+                settle(i, task(i));
+            return;
+        }
+        std::vector<std::future<T>> futures;
+        futures.reserve(indices.size());
+        // Join every submitted task on any exit, so none outlives the
+        // references it captured.
+        struct JoinAll
+        {
+            std::vector<std::future<T>> &futures;
+            ~JoinAll()
+            {
+                for (auto &f : futures)
+                    if (f.valid())
+                        f.wait();
+            }
+        } join{futures};
+        for (const u64 i : indices)
+            futures.push_back(
+                pool_->submit([&task, i] { return task(i); }));
+        for (std::size_t k = 0; k < indices.size(); ++k)
+            settle(indices[k], futures[k].get());
+    }
 
     /**
      * Run @p task under failure isolation with bounded retry. The
@@ -403,7 +380,7 @@ class SweepRunner
                 last_error = "unknown exception";
             }
             if (attempt < opts.maxAttempts)
-                backoff(opts, attempt);
+                backoff(attempt);
         }
         PointFailure f;
         f.index = index;
@@ -425,6 +402,13 @@ class SweepRunner
  */
 std::string encodeEvalResult(const EvalResult &result);
 EvalResult decodeEvalResult(const JsonValue &payload);
+
+/**
+ * One failure as the compact JSON object a sweep's "failureDetail"
+ * and the shard journal carry. Its "timedOut" member is always false;
+ * it is kept so the lva-rpc-v1 schema holds.
+ */
+std::string encodePointFailure(const PointFailure &f);
 
 /**
  * Render the versioned stats export for a completed sweep as a byte

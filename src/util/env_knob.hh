@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared strict parsing for LVA_* environment knobs.
+ * Shared strict parsing for LVA_* environment knobs and numeric
+ * command-line operands.
  *
  * Every numeric knob used to hand-roll its own getenv + strtol (or
  * worse, atoi), so "LVA_FLEET_SIZE=2x" silently became 2 and
@@ -14,6 +15,10 @@
  * code reads LVA_* knobs through these helpers (string-valued knobs
  * carry an explicit `lva-audit: allow(knob-unvalidated)` annotation
  * instead).
+ *
+ * flagU64() / flagF64() apply the same parse to a command-line
+ * operand, but a bad operand is a usage error: it exits 2 instead of
+ * falling back, because the user asked for that value explicitly.
  */
 
 #ifndef LVA_UTIL_ENV_KNOB_HH
@@ -40,6 +45,17 @@ u64 envKnobU64(const char *name, u64 fallback, u64 lo, u64 hi);
  */
 double envKnobF64(const char *name, double fallback, double lo,
                   double hi);
+
+/**
+ * The operand @p text of command-line flag @p flag as an unsigned
+ * integer in [@p lo, @p hi], parsed as envKnobU64 parses a knob.
+ * Anything else prints one error line and exits 2.
+ */
+u64 flagU64(const char *flag, const char *text, u64 lo, u64 hi);
+
+/** As flagU64() for a floating-point operand in [@p lo, @p hi]. */
+double flagF64(const char *flag, const char *text, double lo,
+               double hi);
 
 } // namespace lva
 

@@ -120,30 +120,16 @@ BlackscholesWorkload::run(MemoryBackend &mem)
     for (u32 pass = 0; pass < passes_; ++pass) {
         for (u64 i = 0; i < numOptions_; ++i) {
             const ThreadId tid = threadOf(i);
-            // One batched trip through the hierarchy per option: the
-            // six per-option accesses are independent (no address
-            // depends on another's result), and loadMany processes
-            // them in array order, so the access stream — and every
-            // exported byte — is identical to six scalar load()
-            // calls.
-            const LoadRequest reqs[6] = {
-                spot_.loadRequest(tid, siteSpot_, i),
-                strike_.loadRequest(tid, siteStrike_, i),
-                rate_.loadRequest(tid, siteRate_, i),
-                vol_.loadRequest(tid, siteVol_, i),
-                time_.loadRequest(tid, siteTime_, i),
-                type_.preciseRequest(tid, siteType_, i),
-            };
-            Value got[6];
-            mem.loadMany(reqs, got, 6);
-            const float spot = spot_.decode(got[0]);
-            const float strike = strike_.decode(got[1]);
-            const float rate = rate_.decode(got[2]);
-            const float vol = vol_.decode(got[3]);
-            const float otime = time_.decode(got[4]);
-            // loadPrecise semantics: the consumed value is the host
-            // (precise) one regardless of what the backend returned.
-            const bool is_call = type_.raw(i) != 0;
+            // The six per-option loads, in the order every export
+            // pins: spot, strike, rate, vol, time, then the option
+            // type, loaded precisely (it steers control flow).
+            const float spot = spot_.load(mem, tid, siteSpot_, i);
+            const float strike = strike_.load(mem, tid, siteStrike_, i);
+            const float rate = rate_.load(mem, tid, siteRate_, i);
+            const float vol = vol_.load(mem, tid, siteVol_, i);
+            const float otime = time_.load(mem, tid, siteTime_, i);
+            const bool is_call =
+                type_.loadPrecise(mem, tid, siteType_, i) != 0;
 
             const float p =
                 price(spot, strike, rate, vol, otime, is_call);

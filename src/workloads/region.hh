@@ -131,44 +131,6 @@ class Region
         return precise;
     }
 
-    /**
-     * Fill a request for MemoryBackend::loadMany (the batched load
-     * entry): same address, precise value and annotation as load()
-     * would issue for element @p i. Decode the batch result with
-     * decode(); a batch is byte-identical to the scalar call
-     * sequence because loadMany processes requests in array order.
-     */
-    LoadRequest
-    loadRequest(ThreadId tid, LoadSiteId pc, std::size_t i,
-                bool dependent = false) const
-    {
-        LoadRequest req;
-        req.addr = addrOf(i);
-        req.precise = detail::toValue<T>(data_[boundsCheck(i)]);
-        req.pc = pc;
-        req.tid = tid;
-        req.approximable = approximable_;
-        req.dependent = dependent;
-        return req;
-    }
-
-    /** As loadRequest() but always precise (see loadPrecise()). */
-    LoadRequest
-    preciseRequest(ThreadId tid, LoadSiteId pc, std::size_t i,
-                   bool dependent = false) const
-    {
-        LoadRequest req = loadRequest(tid, pc, i, dependent);
-        req.approximable = false;
-        return req;
-    }
-
-    /** The element a loadMany() result decodes to for this region. */
-    static T
-    decode(const Value &v)
-    {
-        return detail::fromValue<T>(v);
-    }
-
     /** A modelled store: updates host data and simulates the write. */
     void
     store(MemoryBackend &mem, ThreadId tid, LoadSiteId pc, std::size_t i,

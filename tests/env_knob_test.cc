@@ -127,6 +127,44 @@ TEST(EnvKnobF64, StrictFloatParseAndRange)
     }
 }
 
+TEST(FlagU64, ParsesLikeTheKnobButABadOperandExitsTwo)
+{
+    EXPECT_EQ(lva::flagU64("--retries", "99", 0, 99), 99u);
+    EXPECT_EQ(lva::flagU64("--seed", "18446744073709551615", 0,
+                           ~0ull),
+              ~0ull);
+    for (const char *bad : {"-1", "100", "4294967295", "1x", " 1", "",
+                            "0x10", "18446744073709551616"})
+        EXPECT_EXIT(lva::flagU64("--retries", bad, 0, 99),
+                    ::testing::ExitedWithCode(2), "bad value")
+            << bad;
+}
+
+TEST(FlagF64, FiniteInRangeOnly)
+{
+    EXPECT_DOUBLE_EQ(lva::flagF64("--scale", "0.05", 1e-6, 4.0), 0.05);
+    for (const char *bad : {"0", "5", "nan", "inf", "0.2x", "abc"})
+        EXPECT_EXIT(lva::flagF64("--scale", bad, 1e-6, 4.0),
+                    ::testing::ExitedWithCode(2), "bad value")
+            << bad;
+}
+
+TEST(ServeFlags, NumericFlagsUseTheirKnobRanges)
+{
+    lva::ServeFlags flags;
+    EXPECT_TRUE(lva::applyServeFlag("--workers", "4", flags));
+    EXPECT_TRUE(lva::applyServeFlag("--retries", "2", flags));
+    EXPECT_TRUE(lva::applyServeFlag("--seeds", "3", flags));
+    EXPECT_EQ(flags.serve.workers, 4u);
+    EXPECT_EQ(flags.serve.maxAttempts, 3u);
+    EXPECT_EQ(flags.seeds, 3u);
+    EXPECT_FALSE(lva::applyServeFlag("--fleet", "2", flags));
+    EXPECT_EXIT(lva::applyServeFlag("--port", "70000", flags),
+                ::testing::ExitedWithCode(2), "--port");
+    EXPECT_EXIT(lva::applyServeFlag("--workers", "0", flags),
+                ::testing::ExitedWithCode(2), "--workers");
+}
+
 TEST(ServeOptions, MalformedQueueAndCacheKnobsFallBackToDefaults)
 {
     ScopedEnv queue("LVA_SERVE_QUEUE", "-1");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sweep robustness layer: per-point failure isolation,
- * bounded retry with the runtime gauges, per-point deadlines,
+ * bounded retry with the runtime gauges,
  * checkpoint/resume through the manifest, and the partial-result
  * export. Crash (abort) recovery across processes lives in
  * sweep_resume_test; here every fault is survivable in-process.
@@ -9,13 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "eval/stat_report.hh"
@@ -56,8 +54,6 @@ plainOptions(u32 max_attempts = 1)
 {
     SweepOptions opts;
     opts.maxAttempts = max_attempts;
-    opts.backoffBaseMs = 1; // keep retry tests fast
-    opts.backoffCapMs = 2;
     return opts;
 }
 
@@ -85,7 +81,6 @@ TEST_F(RobustSweepTest, IsolatedFailureLeavesOtherPointsComplete)
     EXPECT_EQ(f.label, "deg4");
     EXPECT_EQ(f.workload, "canneal");
     EXPECT_EQ(f.attempts, 1u);
-    EXPECT_FALSE(f.timedOut);
     EXPECT_NE(f.error.find("injected fault"), std::string::npos);
 
     // The failed slot is an honest NaN placeholder, not a number.
@@ -185,30 +180,6 @@ TEST_F(RobustSweepTest, AllocationFailureIsIsolated)
         runner.mapChecked(1, [](u64) { return 1; }, plainOptions());
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_NE(outcome.failures[0].error.find("bad_alloc"),
-              std::string::npos);
-}
-
-TEST_F(RobustSweepTest, DeadlineAbandonsHungPoint)
-{
-    SweepRunner runner(2);
-    SweepOptions opts = plainOptions();
-    opts.timeoutMs = 50;
-    const auto outcome = runner.mapChecked(
-        2,
-        [](u64 i) {
-            if (i == 1)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(400));
-            return static_cast<int>(i);
-        },
-        opts);
-
-    ASSERT_TRUE(outcome.results[0].has_value());
-    EXPECT_FALSE(outcome.results[1].has_value());
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_EQ(outcome.failures[0].index, 1u);
-    EXPECT_TRUE(outcome.failures[0].timedOut);
-    EXPECT_NE(outcome.failures[0].error.find("deadline"),
               std::string::npos);
 }
 

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "eval/sweep.hh"
@@ -203,6 +207,25 @@ TEST(SweepRunner, MapExceptionPropagates)
                                 return 0;
                             }),
                  std::runtime_error);
+}
+
+TEST(SweepRunner, MapJoinsEveryTaskBeforeRethrowing)
+{
+    // Tasks may capture the caller's locals by reference, so map()
+    // must not rethrow index 0's exception while index 1 still runs.
+    SweepRunner runner(2);
+    auto finished = std::make_shared<std::atomic<bool>>(false);
+    EXPECT_THROW(runner.map(2,
+                            [finished](u64 i) -> int {
+                                if (i == 0)
+                                    throw std::runtime_error("bad");
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(50));
+                                finished->store(true);
+                                return 1;
+                            }),
+                 std::runtime_error);
+    EXPECT_TRUE(finished->load());
 }
 
 } // namespace

@@ -328,9 +328,9 @@ TEST(ForEachIndex, IsolationIsCarriedIntoHelpers)
 
 TEST(ForEachIndex, RunsInlineWhenThePoolIsStopping)
 {
-    // A task still running while the pool shuts down (for example one
-    // whose future a deadline abandoned) must not fail because it
-    // fans out: no helper can be enqueued, so the caller runs all.
+    // A task still running while the pool shuts down (the destructor
+    // drains the queue) must not fail because it fans out: no helper
+    // can be enqueued, so the caller runs all.
     ThreadPool pool(2);
     std::atomic<bool> release{false};
     std::atomic<int> hits{0};

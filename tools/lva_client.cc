@@ -14,8 +14,9 @@
  *   lva_client --port 7777 shutdown
  *
  * Options:
- *   --port N        daemon port (required, or LVA_SERVE_PORT)
- *   --timeout-ms N  wire deadline per frame [600000]
+ *   --port N        daemon port, 1..65535 (required, or
+ *                   LVA_SERVE_PORT)
+ *   --timeout-ms N  wire deadline per frame, 1..86400000 [600000]
  *   --workload NAME (eval) benchmark to evaluate
  *   --config JSON   (eval) inline config object
  *   --driver NAME   (sweep) export driver tag
@@ -36,7 +37,8 @@
  * (default 5) before the refusal becomes exit code 1.
  *
  * Exit codes follow the driver convention (README): 0 success, 1
- * request refused or failed by the server, 2 usage error, 3 sweep
+ * request refused or failed by the server, 2 usage error (including a
+ * malformed or out-of-range --port / --timeout-ms), 3 sweep
  * completed with isolated point failures (the export still carries
  * every completed point plus a failures section).
  */
@@ -105,9 +107,10 @@ parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            opt.port = static_cast<u16>(std::atoi(need(i)));
+            opt.port =
+                static_cast<u16>(flagU64("--port", need(i), 1, 65535));
         } else if (arg == "--timeout-ms") {
-            opt.timeoutMs = static_cast<u64>(std::atoll(need(i)));
+            opt.timeoutMs = flagU64("--timeout-ms", need(i), 1, 86400000);
         } else if (arg == "--workload") {
             opt.workload = need(i);
         } else if (arg == "--config") {

@@ -27,8 +27,9 @@
  *   --mantissa-drop N       FP hash mantissa bits cut [0]
  *   --estimator average|last|stride                   [average]
  *   --prefetch-degree N     (prefetch mode)           [4]
- *   --seeds N               averaging runs            [5]
+ *   --seeds N               averaging runs (1..64)    [5]
  *   --scale F               working-set scale         [1.0]
+ *                           (1e-6..4)
  *   --machine FILE          lva-machine-v1 topology file
  *                           (docs/topology.md; also LVA_MACHINE)
  *
@@ -47,14 +48,12 @@
  * Robustness (DESIGN.md section 13):
  *   --checkpoint            record completed points in a manifest
  *   --resume                skip points already in the manifest
- *   --retries N             re-attempt a failed point up to N times
- *   --timeout-ms N          per-point deadline (needs LVA_JOBS >= 2)
+ *   --retries N             re-attempt a failed point up to N
+ *                           (0..99) times
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -62,6 +61,7 @@
 
 #include "eval/service.hh"
 #include "sim/machine_config.hh"
+#include "util/env_knob.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -118,8 +118,7 @@ usage(const char *argv0)
                  "  [--estimator average|last|stride]\n"
                  "  [--prefetch-degree N] [--seeds N] [--scale F]\n"
                  "  [--machine FILE]...\n"
-                 "  [--checkpoint] [--resume] [--retries N]\n"
-                 "  [--timeout-ms N]\n",
+                 "  [--checkpoint] [--resume] [--retries N]\n",
                  argv0);
     std::exit(2);
 }
@@ -141,16 +140,6 @@ argValue(const std::string &text)
     JsonValue v;
     v.type = JsonValue::Type::String;
     v.text = text;
-    return v;
-}
-
-/** @p text as an unsigned integer no larger than @p max. */
-u64
-unsignedArg(const std::string &text, u64 max)
-{
-    const u64 v = argValue(text).asU64();
-    if (v > max)
-        throw std::runtime_error("out of range");
     return v;
 }
 
@@ -187,24 +176,20 @@ parse(int argc, char **argv)
             } else if (arg == "--machine") {
                 opt.machineFiles.push_back(need(i));
             } else if (arg == "--seeds") {
+                // LVA_SEEDS's and LVA_SCALE's bounds.
                 opt.seeds = static_cast<u32>(
-                    unsignedArg(need(i), std::numeric_limits<u32>::max()));
+                    flagU64("--seeds", need(i).c_str(), 1, 64));
             } else if (arg == "--scale") {
-                opt.scale = argValue(need(i)).asDouble();
-                if (!std::isfinite(opt.scale) || opt.scale < 0.0)
-                    throw std::runtime_error("must be finite and >= 0");
+                opt.scale = flagF64("--scale", need(i).c_str(), 1e-6, 4.0);
             } else if (arg == "--checkpoint") {
                 opt.sweep.checkpoint = true;
             } else if (arg == "--resume") {
                 opt.sweep.resume = true;
             } else if (arg == "--retries") {
-                opt.sweep.maxAttempts =
-                    static_cast<u32>(unsignedArg(
-                        need(i), std::numeric_limits<u32>::max() - 1)) +
-                    1;
-            } else if (arg == "--timeout-ms") {
-                opt.sweep.timeoutMs =
-                    unsignedArg(need(i), std::numeric_limits<u64>::max());
+                // LVA_RETRIES's bounds.
+                const u64 retries =
+                    flagU64("--retries", need(i).c_str(), 0, 99);
+                opt.sweep.maxAttempts = static_cast<u32>(retries) + 1;
             } else {
                 usage(argv[0]);
             }

@@ -22,7 +22,8 @@
  *                    [lva_served next to this binary]
  *   --workers, --queue, --deadline-ms, --retries, --jobs,
  *   --cache, --seeds, --scale: forwarded to every worker.
- * A malformed or out-of-range --fleet / --port exits 2.
+ * A malformed or out-of-range value for any of them exits 2, before
+ * any worker is spawned.
  *
  * Sharded sweeps: a `sweep` request carrying "shards": N (and
  * optionally "resume": true) is not relayed whole. The frontend
@@ -116,25 +117,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** @p text as an integer in [@p lo, @p hi]; anything else exits 2. */
-u64
-flagU64(const char *flag, const char *text, u64 lo, u64 hi)
-{
-    try {
-        const u64 v = parseJson(text).asU64();
-        if (v >= lo && v <= hi)
-            return v;
-    } catch (const std::exception &) {
-        // Not an unsigned integer: reported below.
-    }
-    std::fprintf(stderr,
-                 "lva_fleet: bad value '%s' for %s (want an integer in "
-                 "[%llu, %llu])\n",
-                 text, flag, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-    std::exit(2);
-}
-
 /** Worker binary path: LVA_FLEET_SERVED, else a sibling lva_served. */
 std::string
 defaultServedPath()
@@ -162,6 +144,7 @@ parse(int argc, char **argv)
     // Strict parse (util/env_knob.hh): "2x" or "-1" warn and keep the
     // default instead of silently becoming 2 or wrapping.
     opt.fleet = static_cast<u32>(envKnobU64("LVA_FLEET_SIZE", 0, 1, 64));
+    ServeFlags workerFlags; // checks the flags forwarded to workers
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage(argv[0]);
@@ -176,21 +159,16 @@ parse(int argc, char **argv)
                 static_cast<u16>(flagU64("--port", need(i), 0, 65535));
         } else if (arg == "--served") {
             opt.served = need(i);
-        } else if (arg == "--workers" || arg == "--queue" ||
-                   arg == "--deadline-ms" || arg == "--retries" ||
-                   arg == "--jobs" || arg == "--cache" ||
-                   arg == "--seeds" || arg == "--scale") {
-            const char *v = need(i);
-            if (arg == "--seeds")
-                opt.seeds = static_cast<u32>(std::atoi(v));
-            else if (arg == "--scale")
-                opt.scale = std::atof(v);
+        } else if (i + 1 < argc &&
+                   applyServeFlag(arg, argv[i + 1], workerFlags)) {
             opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(v);
+            opt.passThrough.push_back(need(i));
         } else {
             usage(argv[0]);
         }
     }
+    opt.seeds = workerFlags.seeds;
+    opt.scale = workerFlags.scale;
     if (opt.fleet == 0)
         opt.fleet = 2;
     if (opt.served.empty())

@@ -12,16 +12,17 @@
  *   lva_served --port 0 --workers 4        # ephemeral port, printed
  *   LVA_SEEDS=1 LVA_SCALE=0.05 lva_served  # quick smoke daemon
  *
- * Options (defaults from the LVA_SERVE_* knobs, see README):
+ * Options (defaults from the LVA_SERVE_* knobs, see README; each
+ * operand must lie in its knob's range, else exit 2):
  *   --port N         TCP port on 127.0.0.1; 0 = ephemeral [0]
- *   --workers N      connection-handler threads           [2]
+ *   --workers N      connection-handler threads (1..256)  [2]
  *   --queue N        waiting connections before `busy`    [16]
  *   --deadline-ms N  per-connection wire deadline         [10000]
  *   --retries N      extra isolated attempts per request  [0]
- *   --jobs N         sweep worker threads (0 = LVA_JOBS)  [0]
+ *   --jobs N         sweep worker threads (1..256)   [LVA_JOBS]
  *   --cache N        golden-cache entries (0 = unbounded) [0]
- *   --seeds N        evaluator seeds (0 = LVA_SEEDS)      [0]
- *   --scale F        workload scale (0 = LVA_SCALE)       [0]
+ *   --seeds N        evaluator seeds (1..64)        [LVA_SEEDS]
+ *   --scale F        workload scale (1e-6..4)       [LVA_SCALE]
  *
  * SIGTERM / SIGINT drain: the daemon stops accepting, finishes every
  * in-flight request, and exits 0. A `shutdown` request does the same.
@@ -30,8 +31,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "eval/service.hh"
 #include "util/logging.hh"
@@ -54,13 +53,6 @@ onStopSignal(int)
         g_loop->requestStop();
 }
 
-struct Options
-{
-    ServeOptions serve;
-    u32 seeds = 0;
-    double scale = 0.0;
-};
-
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -72,42 +64,13 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-Options
+ServeFlags
 parse(int argc, char **argv)
 {
-    Options opt;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
+    ServeFlags opt;
+    for (int i = 1; i < argc; i += 2)
+        if (i + 1 >= argc || !applyServeFlag(argv[i], argv[i + 1], opt))
             usage(argv[0]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--port") {
-            opt.serve.port = static_cast<u16>(std::atoi(need(i)));
-        } else if (arg == "--workers") {
-            opt.serve.workers = static_cast<u32>(std::atoi(need(i)));
-        } else if (arg == "--queue") {
-            opt.serve.queueCap = static_cast<u32>(std::atoi(need(i)));
-        } else if (arg == "--deadline-ms") {
-            opt.serve.deadlineMs =
-                static_cast<u64>(std::atoll(need(i)));
-        } else if (arg == "--retries") {
-            opt.serve.maxAttempts =
-                static_cast<u32>(std::atoi(need(i))) + 1;
-        } else if (arg == "--jobs") {
-            opt.serve.jobs = static_cast<u32>(std::atoi(need(i)));
-        } else if (arg == "--cache") {
-            opt.serve.cacheCap =
-                static_cast<u64>(std::atoll(need(i)));
-        } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(std::atoi(need(i)));
-        } else if (arg == "--scale") {
-            opt.scale = std::atof(need(i));
-        } else {
-            usage(argv[0]);
-        }
-    }
     return opt;
 }
 
@@ -116,7 +79,7 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    const ServeFlags opt = parse(argc, argv);
 
     EvalService service(opt.seeds, opt.scale, opt.serve);
     ServeLoop loop(service, opt.serve);

@@ -14,18 +14,22 @@
  * timing model without re-executing the workload. --machine swaps in
  * an lva-machine-v1 topology file (docs/topology.md) on either side;
  * a replayed trace must carry exactly one thread per replay core.
+ * A malformed or out-of-range --seed (a u64), --scale (1e-6..4, as
+ * LVA_SCALE) or --degree (a u32) exits 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "cpu/trace.hh"
 #include "cpu/trace_io.hh"
 #include "sim/full_system.hh"
 #include "sim/machine_config.hh"
+#include "util/env_knob.hh"
 #include "workloads/workload.hh"
 
 using namespace lva;
@@ -67,9 +71,10 @@ cmdRecord(int argc, char **argv)
     WorkloadParams params;
     for (int i = 4; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            params.seed = std::strtoull(argv[++i], nullptr, 10);
+            params.seed = flagU64("--seed", argv[++i], 0,
+                                  std::numeric_limits<u64>::max());
         else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc)
-            params.scale = std::atof(argv[++i]);
+            params.scale = flagF64("--scale", argv[++i], 1e-6, 4.0);
         else if (!std::strcmp(argv[i], "--machine") && i + 1 < argc)
             params.threads = loadMachineOrDie(argv[++i]).cores;
         else
@@ -130,7 +135,8 @@ cmdReplay(int argc, char **argv)
     const char *machineFile = nullptr;
     for (int i = 3; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--degree") && i + 1 < argc)
-            degree = static_cast<u32>(std::atoi(argv[++i]));
+            degree = static_cast<u32>(flagU64(
+                "--degree", argv[++i], 0, std::numeric_limits<u32>::max()));
         else if (!std::strcmp(argv[i], "--precise"))
             precise = true;
         else if (!std::strcmp(argv[i], "--hetero"))
