@@ -37,6 +37,7 @@ namespace {
 // Captured from the pre-refactor tree at seeds=1, scale=0.05.
 constexpr char kFig5GoldenDigest[] = "53df6e8b533dd4e5";
 constexpr char kFig10GoldenDigest[] = "036da5fdd7d27b1f";
+constexpr char kOddMachineDigest[] = "2640f2bd57dd98e9";
 
 constexpr u32 kSeeds = 1;
 constexpr double kScale = 0.05;
@@ -163,6 +164,48 @@ TEST(RefactorIdentity, Fig10ExplicitDefaultMachineMatchesGoldenJobs4)
 {
     EXPECT_EQ(fig10ExportDigest(4, &defaultMachine()),
               kFig10GoldenDigest);
+}
+
+// A machine on which no divisor of the phase-2 timing model is a
+// power of two: 3-wide cores (OoOCore's issue-time division), three
+// L2 banks on a 3x1 mesh (bank interleaving and XY routing by
+// non-power-of-two counts) and a 12-cycle DRAM bucket
+// (memory.occupancy 3). The examples/ machines are all powers of two,
+// so this pin is what keeps the general (non-shift, non-mask) paths
+// exact when the power-of-two fast paths change.
+//
+// It is built field by field rather than through machineFromJson:
+// validate() also requires the whole 384 KB L2 to be a valid cache
+// geometry (384 sets), which no three-bank split can satisfy. The
+// timing model only ever builds the 128 KB bank slices, which are.
+MachineConfig
+oddMachine()
+{
+    MachineConfig m = defaultMachine();
+    m.cores = 3;
+    m.core.width = 3;
+    m.l2.sizeBytes = 384 * 1024;
+    m.l2Banks = 3;
+    m.memOccupancy = 3;
+    m.noc.cols = 3;
+    m.noc.rows = 1;
+    m.slowNoc.cols = 3;
+    m.slowNoc.rows = 1;
+    return m;
+}
+
+TEST(RefactorIdentity, Fig10NonPowerOfTwoMachineSerial)
+{
+    const MachineConfig m = oddMachine();
+    const std::string digest = fig10ExportDigest(1, &m);
+    maybePrintGolden("fig10-odd-machine", digest);
+    EXPECT_EQ(digest, kOddMachineDigest);
+}
+
+TEST(RefactorIdentity, Fig10NonPowerOfTwoMachineJobs4)
+{
+    const MachineConfig m = oddMachine();
+    EXPECT_EQ(fig10ExportDigest(4, &m), kOddMachineDigest);
 }
 
 } // namespace
