@@ -15,6 +15,7 @@
 #define LVA_CPU_OOO_CORE_HH
 
 #include <algorithm>
+#include <bit>
 
 #include "util/fixed_ring.hh"
 #include "util/types.hh"
@@ -40,6 +41,9 @@ class OoOCore
   public:
     explicit OoOCore(const CoreConfig &config)
         : config_(config),
+          invWidth_(std::has_single_bit(config.width)
+                        ? 1.0 / static_cast<double>(config.width)
+                        : 0.0),
           outstanding_(std::max<u32>(config.robEntries, 1))
     {}
 
@@ -143,8 +147,12 @@ class OoOCore
     advance(u64 instructions)
     {
         instrCount_ += instructions;
-        now_ += static_cast<double>(instructions) /
-                static_cast<double>(config_.width);
+        // For a power-of-two width 1/width is exact, so the product
+        // equals the quotient bit for bit; other widths divide.
+        const double n = static_cast<double>(instructions);
+        now_ += invWidth_ != 0.0
+                    ? n * invWidth_
+                    : n / static_cast<double>(config_.width);
     }
 
     void
@@ -158,6 +166,7 @@ class OoOCore
     // lva-hot-path: end
 
     CoreConfig config_;
+    double invWidth_; ///< 1/width for power-of-two widths, else 0
     double now_ = 0.0;
     u64 instrCount_ = 0;
     FixedRing<PendingMiss> outstanding_;

@@ -74,20 +74,26 @@ Cache::access(Addr addr, bool is_write)
 {
     const Addr tag = blockAlign(addr);
     const u64 base = setBase(addr);
-    for (u32 w = 0; w < config_.assoc; ++w) {
-        const u64 s = base + w;
-        if (tags_[s] == tag) {
-            lastUse_[s] = ++useClock_;
-            // Branch instead of |=: loads (the overwhelmingly common
-            // case) never touch the dirty column.
-            if (is_write)
-                dirty_[s] = 1;
-            stats_.hits.inc();
-            return true;
-        }
+    // Select the matching way over all assoc tags, with no early exit.
+    // Tags within a set are unique (insert() re-scans, fill() is only
+    // called on absent blocks), so at most one way matches and the
+    // result is that of the early-exit scan; the fixed trip count
+    // keeps the way index off the branch predictor.
+    u32 way = config_.assoc;
+    for (u32 w = 0; w < config_.assoc; ++w)
+        way = tags_[base + w] == tag ? w : way;
+    if (way == config_.assoc) {
+        stats_.misses.inc();
+        return false;
     }
-    stats_.misses.inc();
-    return false;
+    const u64 s = base + way;
+    lastUse_[s] = ++useClock_;
+    // Branch instead of |=: loads (the overwhelmingly common case)
+    // never touch the dirty column.
+    if (is_write)
+        dirty_[s] = 1;
+    stats_.hits.inc();
+    return true;
 }
 
 Addr

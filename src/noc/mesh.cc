@@ -13,6 +13,31 @@ Mesh::Mesh(const MeshConfig &config)
              SlottedResource(8.0, 8.0))
 {
     lva_assert(config.cols >= 1 && config.rows >= 1, "empty mesh");
+    const u32 n = config.nodes();
+    routeStart_.reserve(static_cast<std::size_t>(n) * n + 1);
+    routeStart_.push_back(0);
+    for (u32 src = 0; src < n; ++src) {
+        for (u32 dst = 0; dst < n; ++dst) {
+            // XY routing: resolve X first, then Y.
+            u32 cur = src;
+            while (cur != dst) {
+                u32 next;
+                if (xOf(cur) != xOf(dst)) {
+                    next = nodeAt(
+                        xOf(cur) + (xOf(dst) > xOf(cur) ? 1u : -1u),
+                        yOf(cur));
+                } else {
+                    next = nodeAt(
+                        xOf(cur),
+                        yOf(cur) + (yOf(dst) > yOf(cur) ? 1u : -1u));
+                }
+                routeLinks_.push_back(
+                    static_cast<u32>(linkIndex(cur, next)));
+                cur = next;
+            }
+            routeStart_.push_back(static_cast<u32>(routeLinks_.size()));
+        }
+    }
 }
 
 std::size_t
@@ -49,34 +74,15 @@ Mesh::deliver(u32 src, u32 dst, u32 bytes, double now)
         return t + config_.routerCycles;
     }
 
-    // XY routing: resolve X first, then Y.
-    u32 cur = src;
-    while (cur != dst) {
-        u32 next;
-        if (xOf(cur) != xOf(dst)) {
-            next = nodeAt(xOf(cur) + (xOf(dst) > xOf(cur) ? 1u : -1u),
-                          yOf(cur));
-        } else {
-            next = nodeAt(xOf(cur),
-                          yOf(cur) + (yOf(dst) > yOf(cur) ? 1u : -1u));
-        }
+    for (const u32 link : route(src, dst)) {
         // The link is busy only while flits serialize across it; the
         // router pipeline adds latency but is itself pipelined.
-        const double start =
-            links_[linkIndex(cur, next)].acquire(t, flits);
+        const double start = links_[link].acquire(t, flits);
         stats_.queueWait += start - t;
         stats_.flitHops.inc(flits);
         t = start + config_.routerCycles + flits;
-        cur = next;
     }
     return t;
-}
-
-void
-Mesh::clearOccupancy()
-{
-    for (auto &link : links_)
-        link = SlottedResource(8.0, 8.0);
 }
 
 } // namespace lva

@@ -5,13 +5,15 @@
  * Dimension-ordered (XY) routing over 3-cycle routers and 16-byte
  * links. Each directed link keeps a busy-until time: messages queue
  * behind earlier traffic and occupy the link for their flit count,
- * modelling both serialization and contention. Flit-hops are counted
- * for the interconnect-traffic and energy results.
+ * modelling both serialization and contention. The XY route of every
+ * (src, dst) pair is precomputed as a list of link indices. Flit-hops
+ * are counted for the interconnect-traffic and energy results.
  */
 
 #ifndef LVA_NOC_MESH_HH
 #define LVA_NOC_MESH_HH
 
+#include <span>
 #include <vector>
 
 #include "util/slotted_resource.hh"
@@ -81,8 +83,16 @@ class Mesh
 
     const MeshStats &stats() const { return stats_; }
 
-    /** Reset per-link occupancy (not statistics). */
-    void clearOccupancy();
+    /** Directed link indices of the XY route from @p src to @p dst,
+     *  in traversal order (empty when src == dst). */
+    std::span<const u32>
+    route(u32 src, u32 dst) const
+    {
+        const std::size_t r =
+            static_cast<std::size_t>(src) * config_.nodes() + dst;
+        return {routeLinks_.data() + routeStart_[r],
+                routeStart_[r + 1] - routeStart_[r]};
+    }
 
   private:
     u32 xOf(u32 node) const { return node % config_.cols; }
@@ -94,6 +104,15 @@ class Mesh
 
     MeshConfig config_;
     std::vector<SlottedResource> links_;
+
+    /**
+     * Route table, built once by the constructor: the links of the
+     * route from src to dst are routeLinks_[routeStart_[r] ..
+     * routeStart_[r + 1]) with r = src * nodes + dst. Machines have
+     * at most 32 nodes, so at most 1,024 routes.
+     */
+    std::vector<u32> routeStart_;
+    std::vector<u32> routeLinks_;
     MeshStats stats_;
 };
 

@@ -7,12 +7,21 @@
  * timing simulator consults it to generate invalidation, downgrade and
  * forwarding traffic, and keeps it consistent with the functional L1
  * tag arrays on every fill, eviction and upgrade.
+ *
+ * Storage is a flat open-addressed table (linear probing, backward-
+ * shift erase) sized once at construction. A block is tracked only
+ * while some L1 holds it, so the number of tracked blocks is bounded
+ * by the total L1 capacity; the table is twice that, rounded up to a
+ * power of two, and never grows.
  */
 
 #ifndef LVA_SIM_DIRECTORY_HH
 #define LVA_SIM_DIRECTORY_HH
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <utility>
+#include <vector>
 
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -65,24 +74,44 @@ class Directory
         bool dirty = false;   ///< distinguishes M from E
     };
 
+    /**
+     * @param max_blocks the most blocks ever tracked at once (the
+     *        total number of L1 blocks); tracking more is a
+     *        simulator bug and panics
+     */
+    explicit Directory(std::size_t max_blocks)
+        : maxBlocks_(max_blocks),
+          slots_(std::bit_ceil(2 * std::max<std::size_t>(max_blocks, 1))),
+          mask_(slots_.size() - 1),
+          hashShift_(64 - std::countr_zero(slots_.size()))
+    {
+    }
+
     /** Current coherence state of @p block. */
     CoherenceState
     stateOf(Addr block) const
     {
-        const auto it = entries_.find(block);
-        if (it == entries_.end() || it->second.sharers == 0)
+        const Entry *e = find(block);
+        if (e == nullptr || e->sharers == 0)
             return CoherenceState::Invalid;
-        if (it->second.owner == noOwner)
+        if (e->owner == noOwner)
             return CoherenceState::Shared;
-        return it->second.dirty ? CoherenceState::Modified
-                                : CoherenceState::Exclusive;
+        return e->dirty ? CoherenceState::Modified
+                        : CoherenceState::Exclusive;
     }
 
+    /** The entry of @p block, or null if untracked. Valid until the
+     *  next call that adds or removes a block. */
     const Entry *
     find(Addr block) const
     {
-        const auto it = entries_.find(block);
-        return it == entries_.end() ? nullptr : &it->second;
+        for (std::size_t i = home(block);; i = (i + 1) & mask_) {
+            const Slot &s = slots_[i];
+            if (s.block == block)
+                return &s.entry;
+            if (s.block == invalidAddr)
+                return nullptr;
+        }
     }
 
     bool
@@ -96,7 +125,7 @@ class Directory
     void
     addSharer(Addr block, u32 core)
     {
-        Entry &e = entries_[block];
+        Entry &e = findOrInsert(block);
         e.sharers |= 1u << core;
         if (e.owner == core)
             e.owner = noOwner; // demoted by a read fill
@@ -108,7 +137,7 @@ class Directory
     void
     setOwner(Addr block, u32 core, bool dirty = true)
     {
-        Entry &e = entries_[block];
+        Entry &e = findOrInsert(block);
         e.sharers = 1u << core;
         e.owner = core;
         e.dirty = dirty;
@@ -118,19 +147,17 @@ class Directory
     void
     markDirty(Addr block)
     {
-        auto it = entries_.find(block);
-        if (it != entries_.end())
-            it->second.dirty = true;
+        if (Entry *e = findMutable(block))
+            e->dirty = true;
     }
 
     /** Demote an E/M owner to a plain sharer (GetS downgrade). */
     void
     downgrade(Addr block)
     {
-        auto it = entries_.find(block);
-        if (it != entries_.end()) {
-            it->second.owner = noOwner;
-            it->second.dirty = false;
+        if (Entry *e = findMutable(block)) {
+            e->owner = noOwner;
+            e->dirty = false;
             stats_.downgrades.inc();
         }
     }
@@ -139,40 +166,100 @@ class Directory
     void
     removeSharer(Addr block, u32 core)
     {
-        auto it = entries_.find(block);
-        if (it == entries_.end())
+        Entry *e = findMutable(block);
+        if (e == nullptr)
             return;
-        it->second.sharers &= ~(1u << core);
-        if (it->second.owner == core) {
-            it->second.owner = noOwner;
-            it->second.dirty = false;
+        e->sharers &= ~(1u << core);
+        if (e->owner == core) {
+            e->owner = noOwner;
+            e->dirty = false;
         }
-        if (it->second.sharers == 0)
-            entries_.erase(it);
+        if (e->sharers == 0)
+            erase(block);
     }
 
     /** Drop all sharer state for @p block (L2 eviction recall). */
     void
     clear(Addr block)
     {
-        entries_.erase(block);
+        erase(block);
     }
 
     DirectoryStats &stats() { return stats_; }
     const DirectoryStats &stats() const { return stats_; }
 
-    std::size_t trackedBlocks() const { return entries_.size(); }
+    std::size_t trackedBlocks() const { return size_; }
 
   private:
-    // Determinism audit (lva-lint no-unordered-iteration): hash order
-    // never escapes this map.  Every access above is a point lookup,
-    // insert or erase keyed by block address; the only aggregate view
-    // is trackedBlocks() == size(), which is order-independent.  The
-    // DirectoryStats counters that do reach exports are incremented on
-    // keyed operations, never by walking entries_.  If a future change
-    // needs to enumerate blocks (e.g. a recall sweep), snapshot the
-    // keys and sort them first.
-    std::unordered_map<Addr, Entry> entries_;
+    /** One table slot; block == invalidAddr marks it empty. */
+    struct Slot
+    {
+        Addr block = invalidAddr;
+        Entry entry{};
+    };
+
+    /** Home slot of @p block: Fibonacci hashing keeps the high bits
+     *  of the product, which mix every address bit (block addresses
+     *  have their low bits clear). */
+    std::size_t
+    home(Addr block) const
+    {
+        return static_cast<std::size_t>(
+            (block * 0x9e3779b97f4a7c15ULL) >> hashShift_);
+    }
+
+    Entry *
+    findMutable(Addr block)
+    {
+        return const_cast<Entry *>(std::as_const(*this).find(block));
+    }
+
+    Entry &
+    findOrInsert(Addr block)
+    {
+        lva_assert(block != invalidAddr, "invalid block address");
+        std::size_t i = home(block);
+        for (; slots_[i].block != invalidAddr; i = (i + 1) & mask_)
+            if (slots_[i].block == block)
+                return slots_[i].entry;
+        lva_assert(size_ < maxBlocks_,
+                   "directory tracks more than its %zu-block bound",
+                   maxBlocks_);
+        ++size_;
+        slots_[i].block = block;
+        slots_[i].entry = Entry{};
+        return slots_[i].entry;
+    }
+
+    /** Remove @p block if tracked, then close the gap by shifting
+     *  back every later entry of the probe run that may move, so
+     *  lookups never need tombstones. */
+    void
+    erase(Addr block)
+    {
+        std::size_t i = home(block);
+        for (; slots_[i].block != block; i = (i + 1) & mask_)
+            if (slots_[i].block == invalidAddr)
+                return;
+        --size_;
+        for (std::size_t j = (i + 1) & mask_;
+             slots_[j].block != invalidAddr; j = (j + 1) & mask_) {
+            // The entry at j may fill the hole at i when its home is
+            // not cyclically inside (i, j]: its probe run passes i.
+            const std::size_t dist_home = (j - home(slots_[j].block)) & mask_;
+            if (dist_home >= ((j - i) & mask_)) {
+                slots_[i] = slots_[j];
+                i = j;
+            }
+        }
+        slots_[i] = Slot{};
+    }
+
+    std::size_t maxBlocks_;
+    std::vector<Slot> slots_;
+    std::size_t mask_;
+    int hashShift_;
+    std::size_t size_ = 0;
     DirectoryStats stats_;
 };
 

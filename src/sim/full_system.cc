@@ -1,6 +1,7 @@
 #include "sim/full_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/fixed_ring.hh"
 #include "util/logging.hh"
@@ -41,6 +42,7 @@ struct FullSystemSim::CoreCtx
     std::unique_ptr<LoadValueApproximator> lva;
     std::size_t cursor = 0;          ///< next trace event
     const ThreadTrace *trace = nullptr;
+    std::size_t traceSize = 0;       ///< trace->size(), for the pick
     Counter &demandMisses;
     Counter &approxMisses;
     Counter &l1Misses;
@@ -108,6 +110,9 @@ FullSystemSim::SysGauges::SysGauges(StatRegistry &reg)
 
 FullSystemSim::FullSystemSim(const FullSystemConfig &config)
     : config_(config),
+      blockShift_(static_cast<u32>(std::countr_zero(config.l1.blockBytes))),
+      directory_(static_cast<std::size_t>(config.cores) *
+                 config.l1.numSets() * config.l1.assoc),
       bankPorts_(config.l2Banks, SlottedResource(8.0, 8.0)),
       memPorts_(config.l2Banks,
                 SlottedResource(4.0 * config.memOccupancy,
@@ -117,6 +122,8 @@ FullSystemSim::FullSystemSim(const FullSystemConfig &config)
       l2Fetches_(registry_.counter("l2.fetches",
                                    "blocks L2 pulled from memory"))
 {
+    lva_assert(std::has_single_bit(config.l1.blockBytes),
+               "block size %u not a power of two", config.l1.blockBytes);
     lva_assert(config.cores == config.mesh.nodes(),
                "one core per mesh node expected");
     lva_assert(config.l2Banks == config.mesh.nodes(),
@@ -148,9 +155,10 @@ FullSystemSim::evictFromL1(u32 core, Addr block, double now)
     // copy (MESI) is dropped silently.
     const Directory::Entry *entry = directory_.find(block);
     if (entry != nullptr && entry->owner == core && entry->dirty) {
-        mesh_->deliver(core, bankOf(block), MessageBytes::data, now);
+        const BankAddr home = bankAddr(block);
+        mesh_->deliver(core, home.bank, MessageBytes::data, now);
         events_.l2Accesses.inc(); // writeback into the L2 bank
-        l2Bank_[bankOf(block)]->insert(bankLocalAddr(block), true);
+        l2Bank_[home.bank]->insert(home.local, true);
     }
     directory_.removeSharer(block, core);
 }
@@ -159,9 +167,8 @@ double
 FullSystemSim::fetchBlock(u32 core, Addr block, bool is_write,
                           double now, bool background)
 {
-    const u32 bank = bankOf(block);
+    const auto [bank, local] = bankAddr(block);
     Cache &l2 = *l2Bank_[bank];
-    const Addr local = bankLocalAddr(block);
 
     // Background fills may ride the heterogeneous (slow, low-energy)
     // NoC plane; everything else keeps the fast plane.
@@ -280,8 +287,10 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
     lva_assert(traces.size() == cores_.size(),
                "trace count %zu != core count %zu", traces.size(),
                cores_.size());
-    for (u32 c = 0; c < cores_.size(); ++c)
+    for (u32 c = 0; c < cores_.size(); ++c) {
         cores_[c]->trace = &traces[c];
+        cores_[c]->traceSize = traces[c].size();
+    }
 
     // Replay: always advance the core whose local clock is earliest,
     // so cross-core contention and coherence interleave plausibly.
@@ -291,7 +300,7 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
         u32 next_id = 0;
         for (u32 c = 0; c < cores_.size(); ++c) {
             CoreCtx &ctx = *cores_[c];
-            if (ctx.cursor >= ctx.trace->size())
+            if (ctx.cursor >= ctx.traceSize)
                 continue;
             if (next == nullptr || ctx.core.now() < next->core.now()) {
                 next = &ctx;
@@ -404,7 +413,7 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
                     directory_.markDirty(block);
                 } else {
                     // Upgrade: GetM without data transfer.
-                    const u32 bank = bankOf(block);
+                    const u32 bank = bankAddr(block).bank;
                     mesh_->deliver(next_id, bank,
                                    MessageBytes::control, now);
                     if (entry != nullptr) {

@@ -126,36 +126,38 @@ class FullSystemSim
     /** Handle eviction of @p block from @p core's L1. */
     void evictFromL1(u32 core, Addr block, double now);
 
-    /** Home L2 bank of a block (address-interleaved). */
-    u32
-    bankOf(Addr block) const
+    /** A block's home L2 bank and its alias within that bank. */
+    struct BankAddr
     {
-        return static_cast<u32>((block / config_.l1.blockBytes) %
-                                config_.l2Banks);
-    }
+        u32 bank;
+        Addr local;
+    };
 
     /**
-     * Bank-local alias of a global block address: the banks are
-     * address-interleaved, so a bank sees every l2Banks-th block;
+     * Home bank (address-interleaved) and bank-local alias of a
+     * global block address: a bank sees every l2Banks-th block, so
      * compacting the block number keeps its set index bits dense
      * (otherwise 1/l2Banks of each bank's sets would be usable).
      */
-    Addr
-    bankLocalAddr(Addr block) const
+    BankAddr
+    bankAddr(Addr block) const
     {
-        const u64 bs = config_.l1.blockBytes;
-        return ((block / bs) / config_.l2Banks) * bs;
+        const u64 n = block >> blockShift_;
+        return {static_cast<u32>(n % config_.l2Banks),
+                (n / config_.l2Banks) << blockShift_};
     }
 
-    /** Inverse of bankLocalAddr for a given bank. */
+    /** Inverse of bankAddr(): the global address of @p local in
+     *  @p bank. */
     Addr
     globalAddr(Addr local, u32 bank) const
     {
-        const u64 bs = config_.l1.blockBytes;
-        return ((local / bs) * config_.l2Banks + bank) * bs;
+        return ((local >> blockShift_) * config_.l2Banks + bank)
+               << blockShift_;
     }
 
     FullSystemConfig config_;
+    u32 blockShift_; ///< log2 of the (power-of-two) block size
     StatRegistry registry_; ///< declared before every stats holder
     std::vector<std::unique_ptr<CoreCtx>> cores_;
     std::vector<std::unique_ptr<Cache>> l2Bank_;

@@ -17,6 +17,8 @@
 #ifndef LVA_UTIL_SLOTTED_RESOURCE_HH
 #define LVA_UTIL_SLOTTED_RESOURCE_HH
 
+#include <bit>
+#include <cmath>
 #include <vector>
 
 #include "util/logging.hh"
@@ -35,16 +37,22 @@ class SlottedResource
     /**
      * @param bucket_cycles calendar granularity
      * @param capacity      service cycles available per bucket
-     * @param buckets       ring size (the look-ahead horizon)
+     * @param buckets       ring size (the look-ahead horizon); a power
+     *                      of two, so the ring index is a mask
      */
     explicit SlottedResource(double bucket_cycles = 8.0,
                              double capacity = 8.0,
                              std::size_t buckets = 1 << 14)
-        : bucketCycles_(bucket_cycles), capacity_(capacity),
-          used_(buckets, 0.0), epoch_(buckets, ~u64(0))
+        : bucketCycles_(bucket_cycles),
+          invBucket_(isPowerOfTwo(bucket_cycles) ? 1.0 / bucket_cycles
+                                                 : 0.0),
+          capacity_(capacity), mask_(buckets - 1),
+          slots_(buckets, Slot{0.0, ~u64(0)})
     {
         lva_assert(bucket_cycles > 0.0 && capacity > 0.0,
                    "bad slotted resource parameters");
+        lva_assert(std::has_single_bit(buckets),
+                   "bucket count %zu not a power of two", buckets);
     }
 
     /**
@@ -56,7 +64,10 @@ class SlottedResource
     {
         if (t < 0.0)
             t = 0.0;
-        u64 bucket = static_cast<u64>(t / bucketCycles_);
+        // For a power-of-two bucket width the reciprocal is exact, so
+        // the product equals the quotient bit for bit.
+        u64 bucket = static_cast<u64>(
+            invBucket_ != 0.0 ? t * invBucket_ : t / bucketCycles_);
         for (;;) {
             double &used = usedIn(bucket);
             if (used + service <= capacity_ ||
@@ -78,21 +89,38 @@ class SlottedResource
     u64 requests() const { return requests_; }
 
   private:
+    /** One calendar bucket: the work booked in it, and which bucket
+     *  number it currently holds (a ring slot is reused every
+     *  mask_ + 1 buckets and starts empty when it is). */
+    struct Slot
+    {
+        double used;
+        u64 epoch;
+    };
+
+    static bool
+    isPowerOfTwo(double v)
+    {
+        int exp = 0;
+        return std::frexp(v, &exp) == 0.5;
+    }
+
     double &
     usedIn(u64 bucket)
     {
-        const std::size_t idx = bucket % used_.size();
-        if (epoch_[idx] != bucket) {
-            epoch_[idx] = bucket;
-            used_[idx] = 0.0;
+        Slot &slot = slots_[bucket & mask_];
+        if (slot.epoch != bucket) {
+            slot.epoch = bucket;
+            slot.used = 0.0;
         }
-        return used_[idx];
+        return slot.used;
     }
 
     double bucketCycles_;
+    double invBucket_; ///< 1/bucketCycles_ if a power of two, else 0
     double capacity_;
-    std::vector<double> used_;
-    std::vector<u64> epoch_;
+    u64 mask_;
+    std::vector<Slot> slots_;
     double waitSum_ = 0.0;
     u64 requests_ = 0;
 };

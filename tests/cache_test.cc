@@ -156,18 +156,49 @@ struct RefLru
         set.push_front(block);
     }
 
-    void
-    insert(Addr block)
+    /** @return the evicted block, or invalidAddr if none */
+    Addr
+    insert(Addr block, bool is_write = false)
     {
         auto &set = sets[setOf(block)];
+        const bool resident = contains(block);
         set.remove(block);
         set.push_front(block);
-        if (set.size() > cfg.assoc)
-            set.pop_back();
+        if (resident) {
+            dirty[block] = dirty[block] || is_write;
+            return invalidAddr;
+        }
+        ++fetches;
+        dirty[block] = is_write;
+        if (set.size() <= cfg.assoc)
+            return invalidAddr;
+        const Addr victim = set.back();
+        set.pop_back();
+        ++evictions;
+        if (dirty[victim])
+            ++writebacks;
+        dirty.erase(victim);
+        return victim;
+    }
+
+    bool
+    invalidate(Addr block)
+    {
+        if (!contains(block))
+            return false;
+        sets[setOf(block)].remove(block);
+        if (dirty[block])
+            ++writebacks;
+        dirty.erase(block);
+        return true;
     }
 
     CacheConfig cfg;
     std::unordered_map<u64, std::list<Addr>> sets;
+    std::unordered_map<Addr, bool> dirty; ///< per resident block
+    u64 fetches = 0;
+    u64 evictions = 0;
+    u64 writebacks = 0;
 };
 
 class CacheVsReference
@@ -199,12 +230,62 @@ TEST_P(CacheVsReference, RandomTrafficAgrees)
     }
 }
 
+/**
+ * Loads, stores and invalidations: the hit/miss sequence, the
+ * evicted blocks and every statistic, dirty-driven writebacks
+ * included, must match the reference.
+ */
+TEST_P(CacheVsReference, StoresAndInvalidationsAgree)
+{
+    const auto [size, assoc] = GetParam();
+    const CacheConfig cfg{size, assoc, 64};
+    Cache cache(cfg);
+    RefLru ref(cfg);
+    Rng rng(size * 37 + assoc);
+    u64 hits = 0;
+    u64 misses = 0;
+
+    for (int i = 0; i < 20000; ++i) {
+        const Addr addr = rng.below(512) * 64 + rng.below(64);
+        const Addr block = cache.blockAlign(addr);
+        const bool is_write = rng.chance(0.3);
+        if (rng.chance(0.05)) {
+            ASSERT_EQ(cache.invalidate(addr), ref.invalidate(block))
+                << "iteration " << i;
+            continue;
+        }
+        const bool expect_hit = ref.contains(block);
+        ASSERT_EQ(cache.access(addr, is_write), expect_hit)
+            << "iteration " << i;
+        if (expect_hit) {
+            ++hits;
+            ref.insert(block, is_write); // refresh + dirty, no fetch
+        } else {
+            ++misses;
+            if (rng.chance(0.8)) {
+                ASSERT_EQ(cache.insert(addr, is_write),
+                          ref.insert(block, is_write))
+                    << "iteration " << i;
+            }
+        }
+    }
+    const CacheStats &st = cache.stats();
+    EXPECT_EQ(st.hits.value(), hits);
+    EXPECT_EQ(st.misses.value(), misses);
+    EXPECT_EQ(st.fetches.value(), ref.fetches);
+    EXPECT_EQ(st.evictions.value(), ref.evictions);
+    EXPECT_EQ(st.writebacks.value(), ref.writebacks);
+    EXPECT_GT(ref.writebacks, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheVsReference,
     ::testing::Values(std::make_tuple(u64(1024), 1u),
                       std::make_tuple(u64(1024), 2u),
+                      std::make_tuple(u64(3072), 3u),
                       std::make_tuple(u64(4096), 4u),
                       std::make_tuple(u64(16384), 8u),
+                      std::make_tuple(u64(24576), 12u),
                       std::make_tuple(u64(2048), 16u),
                       std::make_tuple(u64(65536), 8u)));
 

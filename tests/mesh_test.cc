@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for the 2x2 mesh NoC timing model.
+ * Unit tests for the mesh NoC timing model: the 2x2 paper mesh, and
+ * the precomputed route table against a step-by-step XY walk on
+ * every mesh shape up to 32 nodes.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/mesh.hh"
+#include "util/random.hh"
 
 namespace lva {
 namespace {
@@ -82,14 +87,6 @@ TEST(Mesh, XyRoutingIsDeterministicLatency)
                      m2.deliver(2, 3, 8, 0.0));
 }
 
-TEST(Mesh, ClearOccupancyResetsContention)
-{
-    Mesh mesh(mesh2x2());
-    mesh.deliver(0, 1, 72, 0.0);
-    mesh.clearOccupancy();
-    EXPECT_DOUBLE_EQ(mesh.deliver(0, 1, 72, 0.0), 8.0);
-}
-
 TEST(Mesh, LargerMeshMultiHop)
 {
     MeshConfig cfg;
@@ -108,6 +105,120 @@ TEST(Mesh, ThroughputOnHotLink)
         last = mesh.deliver(0, 1, 72, 0.0);
     // 100 x 5 flits over a 1-flit/cycle link: at least ~500 cycles.
     EXPECT_GE(last, 400.0);
+}
+
+/**
+ * The XY walk the route table replaced: resolve X first, then Y, one
+ * hop at a time. Links are numbered from-node * 4 + direction
+ * (north, south, east, west).
+ */
+std::vector<u32>
+xyWalk(const MeshConfig &cfg, u32 src, u32 dst)
+{
+    std::vector<u32> links;
+    u32 x = src % cfg.cols;
+    u32 y = src / cfg.cols;
+    const u32 dx = dst % cfg.cols;
+    const u32 dy = dst / cfg.cols;
+    while (x != dx || y != dy) {
+        const u32 from = y * cfg.cols + x;
+        u32 dir;
+        if (x != dx) {
+            dir = dx > x ? 2 : 3;
+            x = dx > x ? x + 1 : x - 1;
+        } else {
+            dir = dy > y ? 1 : 0;
+            y = dy > y ? y + 1 : y - 1;
+        }
+        links.push_back(from * 4 + dir);
+    }
+    return links;
+}
+
+/** Every mesh shape of at most 32 nodes. */
+std::vector<MeshConfig>
+allShapes()
+{
+    std::vector<MeshConfig> shapes;
+    for (u32 cols = 1; cols <= 32; ++cols)
+        for (u32 rows = 1; cols * rows <= 32; ++rows)
+            shapes.push_back(MeshConfig{cols, rows, 3, 16});
+    return shapes;
+}
+
+TEST(MeshRoutes, TableEqualsXyWalkOnEveryShape)
+{
+    for (const MeshConfig &cfg : allShapes()) {
+        const Mesh mesh(cfg);
+        for (u32 src = 0; src < cfg.nodes(); ++src) {
+            for (u32 dst = 0; dst < cfg.nodes(); ++dst) {
+                const std::span<const u32> r = mesh.route(src, dst);
+                const std::vector<u32> want = xyWalk(cfg, src, dst);
+                ASSERT_EQ(std::vector<u32>(r.begin(), r.end()), want)
+                    << cfg.cols << "x" << cfg.rows << " " << src
+                    << " -> " << dst;
+            }
+        }
+    }
+}
+
+/** The deliver() the route table replaced, over the XY walk. */
+struct RefMesh
+{
+    explicit RefMesh(const MeshConfig &cfg)
+        : cfg(cfg), links(static_cast<std::size_t>(cfg.nodes()) * 4,
+                          SlottedResource(8.0, 8.0))
+    {}
+
+    double
+    deliver(u32 src, u32 dst, u32 bytes, double now)
+    {
+        ++messages;
+        const u32 flits = cfg.flitsFor(bytes);
+        double t = now;
+        if (src == dst)
+            return t + cfg.routerCycles;
+        for (const u32 link : xyWalk(cfg, src, dst)) {
+            const double start = links[link].acquire(t, flits);
+            queueWait += start - t;
+            flitHops += flits;
+            t = start + cfg.routerCycles + flits;
+        }
+        return t;
+    }
+
+    MeshConfig cfg;
+    std::vector<SlottedResource> links;
+    u64 messages = 0;
+    u64 flitHops = 0;
+    double queueWait = 0.0;
+};
+
+TEST(MeshRoutes, DeliverMatchesReferenceOnRandomTraffic)
+{
+    Rng rng(11);
+    for (const MeshConfig &cfg : allShapes()) {
+        Mesh mesh(cfg);
+        RefMesh ref(cfg);
+        double now = 0.0;
+        for (int i = 0; i < 400; ++i) {
+            const u32 src = static_cast<u32>(rng.below(cfg.nodes()));
+            const u32 dst = static_cast<u32>(rng.below(cfg.nodes()));
+            const u32 bytes = rng.chance(0.5) ? MessageBytes::control
+                                              : MessageBytes::data;
+            // Mostly advancing time with some out-of-order arrivals,
+            // as the skewed core clocks produce.
+            now += static_cast<double>(rng.below(8)) - 2.0;
+            if (now < 0.0)
+                now = 0.0;
+            ASSERT_EQ(mesh.deliver(src, dst, bytes, now),
+                      ref.deliver(src, dst, bytes, now))
+                << cfg.cols << "x" << cfg.rows << " message " << i;
+        }
+        EXPECT_EQ(mesh.stats().messages.value(), ref.messages);
+        EXPECT_EQ(mesh.stats().flitHops.value(), ref.flitHops);
+        EXPECT_EQ(mesh.stats().queueWait, ref.queueWait);
+    }
 }
 
 } // namespace
