@@ -18,7 +18,6 @@
 #define LVA_UTIL_SLOTTED_RESOURCE_HH
 
 #include <bit>
-#include <cmath>
 #include <vector>
 
 #include "util/logging.hh"
@@ -43,11 +42,8 @@ class SlottedResource
     explicit SlottedResource(double bucket_cycles = 8.0,
                              double capacity = 8.0,
                              std::size_t buckets = 1 << 14)
-        : bucketCycles_(bucket_cycles),
-          invBucket_(isPowerOfTwo(bucket_cycles) ? 1.0 / bucket_cycles
-                                                 : 0.0),
-          capacity_(capacity), mask_(buckets - 1),
-          slots_(buckets, Slot{0.0, ~u64(0)})
+        : bucketCycles_(bucket_cycles), capacity_(capacity),
+          mask_(buckets - 1), slots_(buckets, Slot{0.0, ~u64(0)})
     {
         lva_assert(bucket_cycles > 0.0 && capacity > 0.0,
                    "bad slotted resource parameters");
@@ -64,10 +60,7 @@ class SlottedResource
     {
         if (t < 0.0)
             t = 0.0;
-        // For a power-of-two bucket width the reciprocal is exact, so
-        // the product equals the quotient bit for bit.
-        u64 bucket = static_cast<u64>(
-            invBucket_ != 0.0 ? t * invBucket_ : t / bucketCycles_);
+        u64 bucket = static_cast<u64>(t / bucketCycles_);
         for (;;) {
             double &used = usedIn(bucket);
             if (used + service <= capacity_ ||
@@ -98,13 +91,6 @@ class SlottedResource
         u64 epoch;
     };
 
-    static bool
-    isPowerOfTwo(double v)
-    {
-        int exp = 0;
-        return std::frexp(v, &exp) == 0.5;
-    }
-
     double &
     usedIn(u64 bucket)
     {
@@ -117,7 +103,6 @@ class SlottedResource
     }
 
     double bucketCycles_;
-    double invBucket_; ///< 1/bucketCycles_ if a power of two, else 0
     double capacity_;
     u64 mask_;
     std::vector<Slot> slots_;

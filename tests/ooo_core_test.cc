@@ -27,6 +27,19 @@ TEST(OoOCore, BandwidthLimitedRetirement)
     EXPECT_EQ(core.instructionsRetired(), 400u);
 }
 
+TEST(OoOCore, RetireTimeIsTheExactQuotientAtAnyWidth)
+{
+    // 5 * (1/3) rounds one ulp away from 5 / 3, so only a true
+    // division passes at width 3; at width 4 the reciprocal is exact.
+    ASSERT_NE(5.0 * (1.0 / 3.0), 5.0 / 3.0);
+    OoOCore three(CoreConfig{3, 32});
+    three.executeInstructions(5);
+    EXPECT_EQ(three.now(), 5.0 / 3.0);
+    OoOCore four(core4x32());
+    four.executeInstructions(5);
+    EXPECT_EQ(four.now(), 5.0 / 4.0);
+}
+
 TEST(OoOCore, HitsAreJustInstructions)
 {
     OoOCore core(core4x32());

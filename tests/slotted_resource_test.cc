@@ -74,5 +74,21 @@ TEST(SlottedResource, IndependentBucketsDoNotInterfere)
     EXPECT_DOUBLE_EQ(r.acquire(32.0, 2.0), 32.0);
 }
 
+TEST(SlottedResource, ReusedRingSlotStartsEmpty)
+{
+    // Four buckets: bucket 4 reuses bucket 0's slot and must not
+    // inherit its booking, while bucket 0 itself stays full.
+    SlottedResource r(8.0, 8.0, 4);
+    EXPECT_DOUBLE_EQ(r.acquire(0.0, 8.0), 0.0);
+    EXPECT_DOUBLE_EQ(r.acquire(32.0, 8.0), 32.0);
+    EXPECT_DOUBLE_EQ(r.acquire(64.0, 4.0), 64.0);
+    EXPECT_DOUBLE_EQ(r.acquire(64.0, 4.0), 68.0);
+}
+
+TEST(SlottedResource, BucketCountMustBeAPowerOfTwo)
+{
+    EXPECT_DEATH(SlottedResource(8.0, 8.0, 1000), "power of two");
+}
+
 } // namespace
 } // namespace lva
