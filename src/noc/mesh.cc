@@ -21,18 +21,14 @@ Mesh::Mesh(const MeshConfig &config)
             // XY routing: resolve X first, then Y.
             u32 cur = src;
             while (cur != dst) {
+                const u32 x = xOf(cur);
+                const u32 y = yOf(cur);
                 u32 next;
-                if (xOf(cur) != xOf(dst)) {
-                    next = nodeAt(
-                        xOf(cur) + (xOf(dst) > xOf(cur) ? 1u : -1u),
-                        yOf(cur));
-                } else {
-                    next = nodeAt(
-                        xOf(cur),
-                        yOf(cur) + (yOf(dst) > yOf(cur) ? 1u : -1u));
-                }
-                routeLinks_.push_back(
-                    static_cast<u32>(linkIndex(cur, next)));
+                if (x != xOf(dst))
+                    next = nodeAt(xOf(dst) > x ? x + 1 : x - 1, y);
+                else
+                    next = nodeAt(x, yOf(dst) > y ? y + 1 : y - 1);
+                routeLinks_.push_back(static_cast<u32>(linkIndex(cur, next)));
                 cur = next;
             }
             routeStart_.push_back(static_cast<u32>(routeLinks_.size()));

@@ -84,8 +84,7 @@ class Directory
           slots_(std::bit_ceil(2 * std::max<std::size_t>(max_blocks, 1))),
           mask_(slots_.size() - 1),
           hashShift_(64 - std::countr_zero(slots_.size()))
-    {
-    }
+    {}
 
     /** Current coherence state of @p block. */
     CoherenceState
