@@ -18,13 +18,17 @@
  * the memory system returned, so refactors can diff digests against a
  * baseline run.
  *
- * A third scenario, fs_replay, covers phase 2: fluidanimate is
+ * prefetch_scalar runs the same stream through the GHB prefetcher
+ * baseline. Its values are the precise ones, so its digest also folds
+ * the L1 fill count and the prefetcher's counters.
+ *
+ * A fourth scenario, fs_replay, covers phase 2: fluidanimate is
  * recorded once at a small fixed scale and its precise baseline is
  * replayed through the full-system timing model. Its "loads" are trace
  * events, and its digest folds the replay's cycles, instructions, L2
  * accesses and flit hops.
  *
- * LVA_HOTPATH_LOADS scales the timed loop of the two phase-1
+ * LVA_HOTPATH_LOADS scales the timed loop of the three phase-1
  * scenarios (default 4,000,000 loads per scenario; CI uses a small
  * value for a schema smoke test). LVA_HOTPATH_REPS repeats each
  * scenario (default 3) and reports the fastest repetition — the
@@ -184,6 +188,26 @@ replayScalar(MemoryBackend &mem, const std::vector<Access> &stream,
     return digest;
 }
 
+/**
+ * Fold what a prefetch run does besides returning values: the L1
+ * fills and every lane's prefetcher counters. Prefetch mode returns
+ * precise values, so its value fold alone would repeat
+ * precise_scalar's digest.
+ */
+u64
+foldPrefetchCounters(const ApproxMemory &mem, u64 digest)
+{
+    digest = foldWord(digest, mem.metrics().fetches);
+    for (ThreadId t = 0; t < mem.config().threads; ++t) {
+        const PrefetcherStats &s = mem.prefetcherFor(t).stats();
+        digest = foldWord(digest, s.misses.value());
+        digest = foldWord(digest, s.issued.value());
+        digest = foldWord(digest, s.deltaPredicts.value());
+        digest = foldWord(digest, s.nextLine.value());
+    }
+    return digest;
+}
+
 ScenarioResult
 runScenario(const std::string &name, const ApproxMemory::Config &cfg,
             const std::vector<Access> &stream, u64 n, u32 reps)
@@ -200,10 +224,12 @@ runScenario(const std::string &name, const ApproxMemory::Config &cfg,
         replayScalar(backend, stream, kWarmupLoads, 0);
 
         BenchTimer timer("hotpath_loads/" + name);
-        const u64 digest =
+        u64 digest =
             replayScalar(backend, stream, n, 0xcbf29ce484222325ULL);
         const double secs = timer.seconds();
         mem.finish();
+        if (cfg.mode == MemMode::Prefetch)
+            digest = foldPrefetchCounters(mem, digest);
 
         recordRepetition(out, r, digest, secs);
     }
@@ -310,11 +336,16 @@ main()
     lva.approx.valueDelay = 4;
     lva.approx.approxDegree = 2;
 
+    ApproxMemory::Config prefetch; // GHB baseline, Fig. 8 tables
+    prefetch.mode = MemMode::Prefetch;
+
     std::vector<ScenarioResult> scenarios;
     scenarios.push_back(
         runScenario("precise_scalar", precise, stream, n, reps));
     scenarios.push_back(
         runScenario("lva_scalar", lva, stream, n, reps));
+    scenarios.push_back(
+        runScenario("prefetch_scalar", prefetch, stream, n, reps));
     scenarios.push_back(runFsReplay(reps));
 
     std::printf("\n%-18s %14s %12s  %s\n", "scenario", "loads/sec",

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <set>
 #include <thread>
 
 #include "eval/stat_report.hh"
@@ -424,6 +425,32 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
         }
         return tried;
     };
+
+    // Golden tasks ahead of the points (see runChecked in sweep.hh):
+    // submitted workload-major, a workload's first points would
+    // otherwise park on its single-flight build while workers idle.
+    std::vector<std::future<void>> goldens;
+    JoinAll<void> join_goldens{goldens};
+    if (pool_ && eval.goldenCacheCounters().capacity == 0) {
+        std::set<std::string> queued;
+        for (const u64 i : pending) {
+            const SweepPoint &p = points[i];
+            ApproxMemory::Config precise =
+                Evaluator::preciseBaseFor(p.config);
+            if (!queued.insert(p.workload + '|' + configKey(precise))
+                     .second)
+                continue;
+            goldens.push_back(pool_->submit(
+                [&eval, name = p.workload, precise = std::move(precise)] {
+                    try {
+                        ScopedFailureIsolation isolate;
+                        (void)eval.evaluatePrecise(name, precise);
+                    } catch (...) {
+                        // The point's own evaluate() rebuilds it.
+                    }
+                }));
+        }
+    }
 
     collect(pending, work, [&](u64 i, Tried<EvalResult> &&tried) {
         if (tried.failure) {

@@ -197,8 +197,10 @@ const std::vector<EvalMetricDef> &sweepRuntimeDefs();
  * Fans batches of sweep points out across a worker pool.
  *
  * Concurrent points share the Evaluator's golden-run cache: the first
- * point to need a (workload, seed) baseline builds it once and every
- * other point blocks on that latch instead of duplicating the run.
+ * caller to need a (workload, seed) baseline builds it once and every
+ * other point blocks on that latch instead of duplicating the run. On
+ * the pool path runChecked() queues those builds ahead of the points
+ * (see there), so they run side by side from the start.
  *
  * Worker-count precedence (pinned by sweep_test): an explicit
  * nonzero @p jobs always wins — jobs=1 is the exact serial path (no
@@ -231,6 +233,17 @@ class SweepRunner
      * and (per @p opts) checkpoint/resume via the manifest at
      * "<resultsDir>/checkpoints/<driver>.jsonl". Deterministic for
      * any LVA_JOBS.
+     *
+     * On the pool path with an unbounded golden cache, one golden
+     * task per distinct (workload, Evaluator::preciseBaseFor(config))
+     * of the pending points is queued before any point, in
+     * first-appearance order. The pool is FIFO, so every precise
+     * build starts ahead of the points that would otherwise park on
+     * it. A golden task's failure is dropped: the point's own
+     * evaluate() rebuilds that golden and reports a lasting failure
+     * through the retry path. All golden tasks have finished before
+     * this returns. A bounded cache gets no golden tasks, so they
+     * never evict a golden a later point needs.
      */
     SweepOutcome runChecked(const std::vector<SweepPoint> &points,
                             const SweepOptions &opts = {});
@@ -313,6 +326,20 @@ class SweepRunner
     /** 0, 1, ..., @p count - 1. */
     static std::vector<u64> allIndices(u64 count);
 
+    /** Waits for every submitted task on any exit, so none outlives
+     *  the references it captured. */
+    template <typename T>
+    struct JoinAll
+    {
+        std::vector<std::future<T>> &futures;
+        ~JoinAll()
+        {
+            for (auto &f : futures)
+                if (f.valid())
+                    f.wait();
+        }
+    };
+
     /**
      * The one fan-out-and-collect loop: run @p task(i) for every i in
      * @p indices — inline in order on the serial path, else on the
@@ -333,18 +360,7 @@ class SweepRunner
         }
         std::vector<std::future<T>> futures;
         futures.reserve(indices.size());
-        // Join every submitted task on any exit, so none outlives the
-        // references it captured.
-        struct JoinAll
-        {
-            std::vector<std::future<T>> &futures;
-            ~JoinAll()
-            {
-                for (auto &f : futures)
-                    if (f.valid())
-                        f.wait();
-            }
-        } join{futures};
+        JoinAll<T> join{futures};
         for (const u64 i : indices)
             futures.push_back(
                 pool_->submit([&task, i] { return task(i); }));

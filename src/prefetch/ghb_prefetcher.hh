@@ -10,6 +10,7 @@
 #define LVA_PREFETCH_GHB_PREFETCHER_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,8 @@ namespace lva {
 /** Tunables of the GHB prefetcher. */
 struct GhbPrefetcherConfig
 {
-    u32 ghbEntries = 2048;   ///< circular miss-address history
-    u32 indexEntries = 2048; ///< PC-indexed head pointers into the GHB
+    u32 ghbEntries = 2048;   ///< circular miss-address history (2^k)
+    u32 indexEntries = 2048; ///< PC-indexed head pointers (2^k)
     u32 degree = 4;          ///< prefetches issued per miss
     u32 blockBytes = 64;     ///< cache block size
     u32 maxChainWalk = 64;   ///< history depth examined per prediction
@@ -59,6 +60,10 @@ struct PrefetcherStats
  * delta pair (delta correlation); the deltas that followed it are
  * replayed, up to the prefetch degree. With no correlation match the
  * prefetcher falls back to next-line prefetching.
+ *
+ * Both tables are power-of-two sized and indexed by mask, and the
+ * history, delta and candidate buffers are sized once at construction,
+ * so a miss neither allocates nor divides.
  */
 class GhbPrefetcher
 {
@@ -77,9 +82,10 @@ class GhbPrefetcher
      *
      * @param pc   static load site of the missing load
      * @param addr miss address
-     * @return up to config().degree block-aligned prefetch addresses
+     * @return up to config().degree block-aligned prefetch addresses;
+     *         the view stays valid until the next onMiss()
      */
-    std::vector<Addr> onMiss(LoadSiteId pc, Addr addr);
+    std::span<const Addr> onMiss(LoadSiteId pc, Addr addr);
 
     const PrefetcherStats &stats() const { return stats_; }
 
@@ -109,6 +115,11 @@ class GhbPrefetcher
     GhbPrefetcherConfig config_;
     std::vector<GhbEntry> ghb_;
     std::vector<IndexEntry> index_;
+    u64 ghbMask_;   ///< ghbEntries - 1
+    u64 indexMask_; ///< indexEntries - 1
+    std::vector<Addr> history_;    ///< maxChainWalk: the PC's misses
+    std::vector<i64> deltas_;      ///< maxChainWalk: their deltas
+    std::vector<Addr> prefetches_; ///< max(degree, 1): the candidates
     u64 nextSeq_ = 1;
     std::unique_ptr<StatRegistry> ownedReg_; ///< standalone ctor only
     StatRegistry *reg_;

@@ -2,7 +2,8 @@
  * @file
  * The golden-cache lifecycle (eval/evaluator): cost-aware LRU victim
  * policy, bounded capacity with eviction counting, single-flight
- * coalescing under real concurrency, failed-build recovery, and the
+ * coalescing under real concurrency, failed-build recovery, the
+ * golden tasks a pooled sweep queues ahead of its points, and the
  * invariant everything else leans on — exports are byte-identical for
  * any capacity and eviction schedule (docs/serving.md).
  */
@@ -201,6 +202,126 @@ TEST(GoldenCache, EvictionThenRefillIsByteIdentical)
     // entries and still matches.
     EXPECT_EQ(sweepExport(squeezed), reference);
     EXPECT_GT(squeezed.goldenCacheCounters().evictions, 0u);
+}
+
+/**
+ * Three configs on each of three workloads, workload-major as the
+ * drivers submit them. swaptions comes last, so its golden task sits
+ * ahead of every swaptions point with other work in between.
+ */
+std::vector<SweepPoint>
+threeWorkloadPoints()
+{
+    std::vector<SweepPoint> points;
+    for (const char *name : {"blackscholes", "canneal", "swaptions"}) {
+        for (u32 ghb : {0u, 1u, 2u}) {
+            ApproxMemory::Config cfg = Evaluator::baselineLva();
+            cfg.approx.ghbEntries = ghb;
+            points.push_back({"ghb-" + std::to_string(ghb), name, cfg});
+        }
+    }
+    return points;
+}
+
+/** runChecked over @p points at @p jobs, with its counters. */
+struct CheckedSweep
+{
+    SweepOutcome outcome;
+    std::string exported;
+    GoldenCacheCounters cache;
+};
+
+CheckedSweep
+runCheckedSweep(const std::vector<SweepPoint> &points, u32 jobs,
+                u64 capacity = 0)
+{
+    Evaluator eval(kSeeds, kScale);
+    eval.setGoldenCacheCapacity(capacity);
+    SweepRunner runner(eval, jobs);
+    SweepOptions opts;
+    opts.driver = "golden_cache_test";
+    CheckedSweep out;
+    out.outcome = runner.runChecked(points, opts);
+    out.exported =
+        renderSweepStats("golden_cache_test", points, out.outcome);
+    out.cache = eval.goldenCacheCounters();
+    return out;
+}
+
+TEST(GoldenTasks, PooledSweepBuildsEachGoldenOnce)
+{
+    const std::vector<SweepPoint> points = threeWorkloadPoints();
+    const CheckedSweep pooled = runCheckedSweep(points, 4);
+    ASSERT_TRUE(pooled.outcome.ok());
+    EXPECT_EQ(pooled.cache.builds, 3u);
+    EXPECT_EQ(pooled.cache.misses, 3u);
+    // The golden tasks took the three misses, so every point found
+    // its golden built or in flight and ended on a hit.
+    EXPECT_EQ(pooled.cache.hits, points.size());
+
+    // The serial path queues no golden tasks: each workload's first
+    // point builds its golden, as it always did.
+    const CheckedSweep serial = runCheckedSweep(points, 1);
+    EXPECT_EQ(serial.cache.builds, 3u);
+    EXPECT_EQ(serial.cache.misses, 3u);
+    EXPECT_EQ(serial.cache.hits, points.size() - 3);
+    EXPECT_EQ(pooled.exported, serial.exported);
+}
+
+TEST(GoldenTasks, BoundedCacheQueuesNoGoldenTasks)
+{
+    const std::vector<SweepPoint> points = threeWorkloadPoints();
+    const CheckedSweep unbounded = runCheckedSweep(points, 4);
+    const CheckedSweep bounded = runCheckedSweep(points, 4, 1);
+    ASSERT_TRUE(bounded.outcome.ok());
+    // One acquisition per point and none besides: no golden task ran.
+    EXPECT_EQ(bounded.cache.hits + bounded.cache.misses, points.size());
+    EXPECT_EQ(bounded.exported, unbounded.exported);
+}
+
+TEST(GoldenTasks, TransientGoldenFaultLeavesTheExportClean)
+{
+    const std::vector<SweepPoint> points = threeWorkloadPoints();
+    const CheckedSweep clean = runCheckedSweep(points, 4);
+
+    // The golden task draws the one injected failure and drops it;
+    // the swaptions points then build the golden themselves. The FIFO
+    // pool starts the golden task before any swaptions point, and the
+    // delay keeps a preempted golden-task thread from losing the race
+    // to the slot on an oversubscribed host.
+    setFaultSpecForTest("eval.golden.swaptions=throw@first1,"
+                        "eval.evaluate.swaptions=delay:200");
+    const CheckedSweep faulted = runCheckedSweep(points, 4);
+    setFaultSpecForTest("");
+    EXPECT_TRUE(faulted.outcome.ok());
+    EXPECT_EQ(faulted.exported, clean.exported);
+    EXPECT_EQ(faulted.cache.builds, 3u);
+}
+
+TEST(GoldenTasks, PermanentGoldenFaultFailsExactlyItsPoints)
+{
+    const std::vector<SweepPoint> points = threeWorkloadPoints();
+    setFaultSpecForTest("eval.golden.swaptions=throw");
+    const CheckedSweep serial = runCheckedSweep(points, 1);
+    const CheckedSweep pooled = runCheckedSweep(points, 4);
+    setFaultSpecForTest("");
+
+    // The serial path has no golden tasks, so it records the failures
+    // exactly as the engine did before they existed.
+    ASSERT_EQ(serial.outcome.failures.size(), 3u);
+    ASSERT_EQ(pooled.outcome.failures.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+        const PointFailure &want = serial.outcome.failures[k];
+        const PointFailure &got = pooled.outcome.failures[k];
+        EXPECT_EQ(got.index, 6 + k);
+        EXPECT_EQ(got.workload, "swaptions");
+        EXPECT_EQ(got.index, want.index);
+        EXPECT_EQ(got.label, want.label);
+        EXPECT_EQ(got.workload, want.workload);
+        EXPECT_EQ(got.error, want.error);
+        EXPECT_EQ(got.attempts, want.attempts);
+    }
+    EXPECT_EQ(pooled.exported, serial.exported);
 }
 
 } // namespace

@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the GHB prefetcher baseline (delta correlation +
- * next-line fallback).
+ * next-line fallback), plus a differential check of the production
+ * prefetcher against the allocating, modulo-indexed reference model
+ * it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "prefetch/ghb_prefetcher.hh"
+#include "util/random.hh"
 
 namespace lva {
 namespace {
@@ -19,10 +24,18 @@ testConfig(u32 degree)
     return cfg;
 }
 
+/** The candidates of one miss, copied out of the returned view. */
+std::vector<Addr>
+miss(GhbPrefetcher &pf, LoadSiteId pc, Addr addr)
+{
+    const std::span<const Addr> out = pf.onMiss(pc, addr);
+    return {out.begin(), out.end()};
+}
+
 TEST(GhbPrefetcher, NextLineFallbackOnColdStream)
 {
     GhbPrefetcher pf(testConfig(4));
-    const auto out = pf.onMiss(0x400, 0x10000);
+    const auto out = miss(pf, 0x400, 0x10000);
     ASSERT_EQ(out.size(), 1u); // fallback: a single next-line block
     EXPECT_EQ(out[0], 0x10040u);
     EXPECT_EQ(pf.stats().nextLine.value(), 1u);
@@ -34,7 +47,7 @@ TEST(GhbPrefetcher, DetectsConstantStride)
     std::vector<Addr> out;
     // Stride of 2 blocks (128 B).
     for (Addr a = 0x10000; a <= 0x10000 + 128 * 12; a += 128)
-        out = pf.onMiss(0x400, a);
+        out = miss(pf, 0x400, a);
     ASSERT_EQ(out.size(), 4u);
     const Addr last = 0x10000 + 128 * 12;
     EXPECT_EQ(out[0], last + 128);
@@ -51,7 +64,7 @@ TEST(GhbPrefetcher, DetectsAlternatingDeltaPattern)
     Addr a = 0x20000;
     std::vector<Addr> out;
     for (int i = 0; i < 16; ++i) {
-        out = pf.onMiss(0x400, a);
+        out = miss(pf, 0x400, a);
         a += (i % 2 == 0) ? 64 : 192;
     }
     // After an even count of deltas, the last two deltas were
@@ -77,8 +90,8 @@ TEST(GhbPrefetcher, PerPcLocalization)
     Addr a = 0x100000;
     Addr b = 0x900000;
     for (int i = 0; i < 12; ++i) {
-        out_a = pf.onMiss(0x400, a);
-        out_b = pf.onMiss(0x800, b);
+        out_a = miss(pf, 0x400, a);
+        out_b = miss(pf, 0x800, b);
         a += 64;
         b += 256;
     }
@@ -94,7 +107,7 @@ TEST(GhbPrefetcher, DegreeBoundsPredictions)
         GhbPrefetcher pf(testConfig(degree));
         std::vector<Addr> out;
         for (Addr a = 0; a < 64 * 64; a += 64)
-            out = pf.onMiss(0x400, a);
+            out = miss(pf, 0x400, a);
         EXPECT_LE(out.size(), degree);
         EXPECT_GE(out.size(), 1u);
     }
@@ -131,6 +144,255 @@ TEST(GhbPrefetcher, SurvivesGhbWraparound)
         for (const Addr p : out)
             EXPECT_EQ(p % 64, 0u);
     }
+}
+
+TEST(GhbPrefetcherDeathTest, TableSizesMustBePowersOfTwo)
+{
+    GhbPrefetcherConfig ghb = testConfig(4);
+    ghb.ghbEntries = 48;
+    EXPECT_DEATH(GhbPrefetcher{ghb}, "power of two");
+
+    GhbPrefetcherConfig index = testConfig(4);
+    index.indexEntries = 3;
+    EXPECT_DEATH(GhbPrefetcher{index}, "power of two");
+
+    GhbPrefetcherConfig empty = testConfig(4);
+    empty.ghbEntries = 0;
+    EXPECT_DEATH(GhbPrefetcher{empty}, "power of two");
+}
+
+/**
+ * The prefetcher as it was before its miss path stopped allocating
+ * and dividing: `%`-indexed tables and per-miss vectors. Kept here,
+ * unchanged in behavior, as the reference the production code must
+ * match candidate for candidate and count for count.
+ */
+class RefGhbPrefetcher
+{
+  public:
+    explicit RefGhbPrefetcher(const GhbPrefetcherConfig &config)
+        : config_(config), ghb_(config.ghbEntries),
+          index_(config.indexEntries)
+    {
+    }
+
+    u64 misses = 0;
+    u64 issued = 0;
+    u64 deltaPredicts = 0;
+    u64 nextLine = 0;
+
+    std::vector<Addr>
+    onMiss(LoadSiteId pc, Addr addr)
+    {
+        ++misses;
+        const Addr block = addr & ~Addr(config_.blockBytes - 1);
+
+        IndexEntry &idx = index_[mix64(pc) % config_.indexEntries];
+        const u64 prev_seq =
+            (idx.pcTag == pc && live(idx.lastSeq)) ? idx.lastSeq : 0;
+
+        const u64 my_seq = nextSeq_++;
+        GhbEntry &slot = ghb_[my_seq % config_.ghbEntries];
+        slot.addr = block;
+        slot.prevSeq = prev_seq;
+        slot.seq = my_seq;
+
+        idx.pcTag = pc;
+        idx.lastSeq = my_seq;
+
+        if (config_.degree == 0)
+            return {};
+
+        std::vector<Addr> history;
+        history.reserve(config_.maxChainWalk);
+        u64 seq = my_seq;
+        while (live(seq) && history.size() < config_.maxChainWalk) {
+            const GhbEntry &entry = ghb_[seq % config_.ghbEntries];
+            if (entry.seq != seq)
+                break;
+            history.push_back(entry.addr);
+            seq = entry.prevSeq;
+        }
+
+        std::vector<Addr> prefetches;
+        prefetches.reserve(config_.degree);
+
+        if (history.size() >= 4) {
+            std::vector<i64> deltas(history.size() - 1);
+            for (std::size_t i = 0; i + 1 < history.size(); ++i)
+                deltas[i] = static_cast<i64>(history[i]) -
+                            static_cast<i64>(history[i + 1]);
+
+            const i64 d0 = deltas[0];
+            const i64 d1 = deltas[1];
+            for (std::size_t j = 2; j + 1 < deltas.size(); ++j) {
+                if (deltas[j] == d0 && deltas[j + 1] == d1) {
+                    Addr next = block;
+                    std::size_t k = j;
+                    while (prefetches.size() < config_.degree) {
+                        if (k == 0) {
+                            next = static_cast<Addr>(
+                                static_cast<i64>(next) + d0);
+                        } else {
+                            --k;
+                            next = static_cast<Addr>(
+                                static_cast<i64>(next) + deltas[k]);
+                        }
+                        prefetches.push_back(
+                            next & ~Addr(config_.blockBytes - 1));
+                        ++deltaPredicts;
+                    }
+                    break;
+                }
+            }
+        }
+
+        if (prefetches.empty()) {
+            prefetches.push_back(block + config_.blockBytes);
+            ++nextLine;
+        }
+
+        issued += prefetches.size();
+        return prefetches;
+    }
+
+  private:
+    struct GhbEntry
+    {
+        Addr addr = 0;
+        u64 prevSeq = 0;
+        u64 seq = 0;
+    };
+
+    struct IndexEntry
+    {
+        u64 pcTag = ~u64(0);
+        u64 lastSeq = 0;
+    };
+
+    bool
+    live(u64 seq) const
+    {
+        return seq != 0 && seq + config_.ghbEntries >= nextSeq_;
+    }
+
+    GhbPrefetcherConfig config_;
+    std::vector<GhbEntry> ghb_;
+    std::vector<IndexEntry> index_;
+    u64 nextSeq_ = 1;
+};
+
+/**
+ * A seeded multi-PC miss stream: each PC walks its own short,
+ * repeating delta pattern (strides, alternations, backward steps)
+ * from its own base, with occasional random jumps and unaligned
+ * offsets, so delta correlation, its pattern-exhausted tail and the
+ * next-line fallback all fire.
+ */
+struct MissStream
+{
+    MissStream(u64 seed, u32 pcs) : rng(seed), state(pcs)
+    {
+        for (u32 p = 0; p < pcs; ++p) {
+            PcState &s = state[p];
+            s.pc = 0x400000 + 4 * static_cast<LoadSiteId>(p) * 37;
+            s.addr = 0x1000'0000 + rng.below(1u << 24);
+            const u32 len = 1 + static_cast<u32>(rng.below(4));
+            for (u32 i = 0; i < len; ++i)
+                s.pattern.push_back(
+                    (static_cast<i64>(rng.below(9)) - 3) * 64);
+        }
+    }
+
+    struct PcState
+    {
+        LoadSiteId pc = 0;
+        Addr addr = 0;
+        std::vector<i64> pattern;
+        std::size_t at = 0;
+    };
+
+    /** The next (pc, address) miss. */
+    std::pair<LoadSiteId, Addr>
+    next()
+    {
+        PcState &s = state[rng.below(state.size())];
+        if (rng.below(24) == 0)
+            s.addr = 0x1000'0000 + rng.below(1u << 24); // jump
+        else
+            s.addr = static_cast<Addr>(static_cast<i64>(s.addr) +
+                                       s.pattern[s.at]);
+        s.at = (s.at + 1) % s.pattern.size();
+        return {s.pc, s.addr + rng.below(64)};
+    }
+
+    Rng rng;
+    std::vector<PcState> state;
+};
+
+/** Diff @p misses misses of one seeded stream; returns the
+ *  reference's delta-correlation prediction count. */
+u64
+expectSameAsReference(const GhbPrefetcherConfig &cfg, u64 seed, u32 pcs,
+                      u32 misses)
+{
+    GhbPrefetcher pf(cfg);
+    RefGhbPrefetcher ref(cfg);
+    MissStream stream(seed, pcs);
+    for (u32 i = 0; i < misses; ++i) {
+        const auto [pc, addr] = stream.next();
+        const std::vector<Addr> want = ref.onMiss(pc, addr);
+        const std::vector<Addr> got = miss(pf, pc, addr);
+        EXPECT_EQ(got, want) << "miss " << i << " of seed " << seed;
+        if (got != want)
+            return ref.deltaPredicts;
+    }
+    EXPECT_EQ(pf.stats().misses.value(), ref.misses);
+    EXPECT_EQ(pf.stats().issued.value(), ref.issued);
+    EXPECT_EQ(pf.stats().deltaPredicts.value(), ref.deltaPredicts);
+    EXPECT_EQ(pf.stats().nextLine.value(), ref.nextLine);
+    return ref.deltaPredicts;
+}
+
+TEST(GhbPrefetcherVsReference, SameCandidatesAndCounts)
+{
+    // 16-entry tables wrap the GHB every 16 misses and alias PCs in
+    // the index; 6,000 misses wrap the 2048-entry GHB twice.
+    for (const u32 entries : {16u, 2048u}) {
+        for (const u32 degree : {0u, 1u, 4u, 16u}) {
+            for (const u32 pcs : {1u, 5u, 40u}) {
+                GhbPrefetcherConfig cfg;
+                cfg.ghbEntries = entries;
+                cfg.indexEntries = entries;
+                cfg.degree = degree;
+                SCOPED_TRACE(::testing::Message()
+                             << "entries " << entries << " degree "
+                             << degree << " pcs " << pcs);
+                const u64 predicted = expectSameAsReference(
+                    cfg, 0x9e37 + entries + degree + pcs, pcs, 6000);
+                // The stream must reach delta correlation, not only
+                // the next-line fallback (40 PCs do not fit 16 slots).
+                if (degree > 0 && (pcs <= 5 || entries > 16))
+                    EXPECT_GT(predicted, 0u);
+            }
+        }
+    }
+}
+
+TEST(GhbPrefetcherVsReference, MixedTableSizesShortWalksAndSmallBlocks)
+{
+    GhbPrefetcherConfig cfg;
+    cfg.ghbEntries = 64;
+    cfg.indexEntries = 16;
+    cfg.degree = 4;
+    cfg.blockBytes = 32;
+    cfg.maxChainWalk = 6;
+    EXPECT_GT(expectSameAsReference(cfg, 17, 9, 5000), 0u);
+
+    cfg.ghbEntries = 16;
+    cfg.indexEntries = 2048;
+    cfg.maxChainWalk = 64; // longer than the GHB holds
+    EXPECT_GT(expectSameAsReference(cfg, 18, 3, 5000), 0u);
 }
 
 } // namespace
