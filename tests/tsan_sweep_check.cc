@@ -6,7 +6,9 @@
  * Hammers the thread pool and the Evaluator's shared golden-run
  * cache from many workers, twice over (the second pass hits the warm
  * cache concurrently), and verifies the parallel results are
- * bit-identical to a serial run. A small full-system sweep under
+ * bit-identical to a serial run. The pooled runChecked passes queue
+ * their golden tasks ahead of the points, so the golden builds race
+ * the points that coalesce onto them. A small full-system sweep under
  * mapChecked covers the nested replay fan-out (the pool's helper
  * tasks replaying one shared trace). Data races in the pool, the
  * golden cache or the replay fan-out fail `scripts/run_all.sh quick`
