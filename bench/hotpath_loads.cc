@@ -20,15 +20,18 @@
  *
  * prefetch_scalar runs the same stream through the GHB prefetcher
  * baseline. Its values are the precise ones, so its digest also folds
- * the L1 fill count and the prefetcher's counters.
+ * the L1 fill count and the prefetcher's counters. lvp_scalar runs it
+ * through the idealized load value predictor (the Fig. 4 baseline) on
+ * lva_scalar's approximator configuration; its values are precise
+ * too, so its digest also folds the predictor's counters.
  *
- * A fourth scenario, fs_replay, covers phase 2: fluidanimate is
+ * A fifth scenario, fs_replay, covers phase 2: fluidanimate is
  * recorded once at a small fixed scale and its precise baseline is
  * replayed through the full-system timing model. Its "loads" are trace
  * events, and its digest folds the replay's cycles, instructions, L2
  * accesses and flit hops.
  *
- * LVA_HOTPATH_LOADS scales the timed loop of the three phase-1
+ * LVA_HOTPATH_LOADS scales the timed loop of the four phase-1
  * scenarios (default 4,000,000 loads per scenario; CI uses a small
  * value for a schema smoke test). LVA_HOTPATH_REPS repeats each
  * scenario (default 3) and reports the fastest repetition — the
@@ -208,6 +211,24 @@ foldPrefetchCounters(const ApproxMemory &mem, u64 digest)
     return digest;
 }
 
+/**
+ * As foldPrefetchCounters, for the idealized LVP: an oracle-correct
+ * prediction returns the precise value, so only the predictor's
+ * counters tell an LVP run from a precise one.
+ */
+u64
+foldLvpCounters(const ApproxMemory &mem, u64 digest)
+{
+    for (ThreadId t = 0; t < mem.config().threads; ++t) {
+        const LvpStats &s = mem.lvpFor(t).stats();
+        digest = foldWord(digest, s.lookups.value());
+        digest = foldWord(digest, s.correct.value());
+        digest = foldWord(digest, s.incorrect.value());
+        digest = foldWord(digest, s.cold.value());
+    }
+    return digest;
+}
+
 ScenarioResult
 runScenario(const std::string &name, const ApproxMemory::Config &cfg,
             const std::vector<Access> &stream, u64 n, u32 reps)
@@ -230,6 +251,8 @@ runScenario(const std::string &name, const ApproxMemory::Config &cfg,
         mem.finish();
         if (cfg.mode == MemMode::Prefetch)
             digest = foldPrefetchCounters(mem, digest);
+        else if (cfg.mode == MemMode::Lvp)
+            digest = foldLvpCounters(mem, digest);
 
         recordRepetition(out, r, digest, secs);
     }
@@ -339,6 +362,9 @@ main()
     ApproxMemory::Config prefetch; // GHB baseline, Fig. 8 tables
     prefetch.mode = MemMode::Prefetch;
 
+    ApproxMemory::Config lvp = lva; // idealized LVP, Fig. 4 baseline
+    lvp.mode = MemMode::Lvp;
+
     std::vector<ScenarioResult> scenarios;
     scenarios.push_back(
         runScenario("precise_scalar", precise, stream, n, reps));
@@ -346,6 +372,8 @@ main()
         runScenario("lva_scalar", lva, stream, n, reps));
     scenarios.push_back(
         runScenario("prefetch_scalar", prefetch, stream, n, reps));
+    scenarios.push_back(
+        runScenario("lvp_scalar", lvp, stream, n, reps));
     scenarios.push_back(runFsReplay(reps));
 
     std::printf("\n%-18s %14s %12s  %s\n", "scenario", "loads/sec",

@@ -4,9 +4,9 @@
 #   quick: 1 seed, 30% working sets (smoke run) + the static-analysis
 #          gate (scripts/lint.sh) + the sanitizer matrix: full ctest
 #          suite under ASan+UBSan and a ThreadSanitizer build of the
-#          concurrency determinism check + the documentation gates
-#          (scripts/check_docs.sh) + the evaluation-daemon smoke
-#          (scripts/serve_smoke.sh)
+#          concurrency determinism check + the evaluation-daemon smoke
+#          (scripts/serve_smoke.sh). The documentation gates run in
+#          every ctest (lva_audit_tree, doc_registry_test).
 #
 # Parallelism: every bench driver fans its sweep grid out over
 # LVA_JOBS worker threads (default: hardware concurrency). LVA_JOBS=1
@@ -36,8 +36,7 @@ if [[ "$MODE" == "quick" ]]; then
     # Static-analysis gate: lva_lint determinism rules, the
     # lva_audit whole-project model (layering, stat/knob/fault
     # registries, lock order), and clang-tidy where installed.
-    # Fails the run on any unsuppressed finding, mirroring the
-    # check_docs.sh gate below.
+    # Fails the run on any unsuppressed finding.
     scripts/lint.sh
 
     # Sanitizer matrix (DESIGN.md §12).  ASan and UBSan compose in one
@@ -54,11 +53,6 @@ if [[ "$MODE" == "quick" ]]; then
     cmake --build build-tsan --target tsan_sweep_check
     ./build-tsan/tests/tsan_sweep_check
 
-    # Documentation gates, all two-way: docs/metrics.md vs the
-    # registry self-dump, the README knob table vs the LVA_* literals
-    # in the sources, docs/reproducing.md vs the bench executables.
-    scripts/check_docs.sh build/tools/lva_stats_catalog
-
     # Evaluation daemon: served sweeps must be byte-identical to the
     # direct driver export, with concurrent clients, and SIGTERM must
     # drain to exit 0 (docs/serving.md).
@@ -73,7 +67,7 @@ total_ms=0
 # completed points into results/checkpoints/<driver>.jsonl, so a
 # killed run can restart with LVA_RESUME=1 (or --resume) and skip the
 # work it already finished. The knob travels via the environment, not
-# argv, because google-benchmark micro_* binaries reject our flags.
+# argv, because not every bench binary takes the sweep flags.
 export LVA_CHECKPOINT=1
 
 for b in build/bench/*; do

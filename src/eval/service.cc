@@ -25,11 +25,21 @@ okPrefix(const std::string &op)
            ",\"ok\":true,\"op\":" + jsonQuote(op);
 }
 
+/**
+ * Config bounds for the keys that size allocations: ApproxMemory
+ * builds one lane per thread (the same 1..32 as lva-machine-v1
+ * "cores"), and the GHB prefetcher one candidate slot per degree (the
+ * paper sweeps up to 16).
+ */
+constexpr u32 kMaxThreads = 32;
+constexpr u32 kMaxPrefetchDegree = 256;
+
 u32
-u32Field(const std::string &key, const JsonValue &value)
+u32Field(const std::string &key, const JsonValue &value, u32 lo = 0,
+         u32 hi = std::numeric_limits<u32>::max())
 {
     const u64 v = value.asU64();
-    if (v > std::numeric_limits<u32>::max())
+    if (v < lo || v > hi)
         throw std::runtime_error("config: \"" + key +
                                  "\" out of range");
     return static_cast<u32>(v);
@@ -359,9 +369,14 @@ configFromJson(const JsonValue &cfg, const ApproxMemory::Config &base)
         } else if (key == "mode") {
             out.mode = modeFromName(value.asString());
         } else if (key == "threads") {
-            out.threads = u32Field(key, value);
+            out.threads = u32Field(key, value, 1, kMaxThreads);
+            // A heterogeneous machine fixes one approximator per core.
+            if (!out.threadApprox.empty() &&
+                out.threadApprox.size() != out.threads)
+                throw std::runtime_error("config: \"threads\" must equal "
+                                         "the machine's core count");
         } else if (key == "prefetchDegree") {
-            out.prefetch.degree = u32Field(key, value);
+            out.prefetch.degree = u32Field(key, value, 0, kMaxPrefetchDegree);
         } else if (applyApproxKeyAll(out, key, value)) {
             // one approximator knob, applied to every variant
         } else {

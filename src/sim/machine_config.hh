@@ -20,9 +20,9 @@
  * refactor_identity_test).
  *
  * The schema is documented key-by-key in docs/topology.md, whose
- * marker-delimited table scripts/check_docs.sh diffs two-way against
- * machineSchemaKeys(); adding a key here without a docs row (or vice
- * versa) fails the build gate.
+ * marker-delimited table tests/doc_registry_test diffs two-way
+ * against machineSchemaKeys(); adding a key here without a docs row
+ * (or vice versa) fails ctest.
  */
 
 #ifndef LVA_SIM_MACHINE_CONFIG_HH
@@ -155,9 +155,8 @@ std::string renderMachineJson(const MachineConfig &m);
 
 /**
  * The flat (dotted) key list of the machine schema, in schema
- * (docs-table) order — the
- * source of truth behind `lva_stats_catalog --machine-schema` and the
- * docs/topology.md table gate.
+ * (docs-table) order — the source of truth the docs/topology.md
+ * table is diffed against (tests/doc_registry_test).
  */
 const std::vector<std::string> &machineSchemaKeys();
 

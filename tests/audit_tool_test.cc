@@ -65,6 +65,8 @@ TEST(AuditCatalog, ListsEveryRuleExactlyOnce)
         lva::audit::kKnobUndocumented, lva::audit::kKnobStaleDoc,
         lva::audit::kKnobUnvalidated,  lva::audit::kLockCycle,
         lva::audit::kLockWaitHeld,     lva::audit::kStaleBaseline,
+        lva::audit::kDriverUndocumented, lva::audit::kDriverStaleDoc,
+        lva::audit::kHotPathUndocumented, lva::audit::kHotPathStaleDoc,
         lva::lint::kBadAllowFence};
     EXPECT_EQ(ids, expected);
 }
@@ -73,7 +75,8 @@ TEST(AuditClean, CleanTreeHasNoFindings)
 {
     // The clean tree exercises every extractor (stats, knobs with an
     // allow(knob-unvalidated) annotation, a fault site armed from
-    // scripts/) and must come back empty — the binary's exit-0 path.
+    // scripts/, a documented driver and hot-path fence) and must come
+    // back empty — the binary's exit-0 path.
     const auto findings = runAudit(fixtureProject("clean"));
     EXPECT_TRUE(findings.empty())
         << findings.size() << " findings, first: " << findings[0].file
@@ -142,6 +145,55 @@ TEST(AuditLocks, OrderingCycleAndWaitWhileHoldingFire)
             {"src/core/pipeline.cc", 42, lva::audit::kLockWaitHeld},
         };
     EXPECT_EQ(hits(findings), expected);
+}
+
+TEST(AuditDrivers, UndocumentedDriverAndStaleRowFire)
+{
+    const auto findings = runAudit(fixtureProject("drivers"));
+    const std::multiset<std::tuple<std::string, int, std::string>>
+        expected = {
+            {"bench/CMakeLists.txt", 4, lva::audit::kDriverUndocumented},
+            {"docs/reproducing.md", 9, lva::audit::kDriverStaleDoc},
+        };
+    EXPECT_EQ(hits(findings), expected);
+}
+
+TEST(AuditHotPaths, UndocumentedFenceAndStaleRowFire)
+{
+    // Reported at the fence's begin marker.  quoted.cc carries the
+    // marker text only inside a string and after code, which opens no
+    // fence, and tests/ is outside the inventory.
+    const auto findings = runAudit(fixtureProject("hotpath"));
+    const std::multiset<std::tuple<std::string, int, std::string>>
+        expected = {
+            {"src/core/slow.cc", 5, lva::audit::kHotPathUndocumented},
+            {"docs/performance.md", 8, lva::audit::kHotPathStaleDoc},
+        };
+    EXPECT_EQ(hits(findings), expected);
+}
+
+TEST(AuditDocTables, ReaderAndDiff)
+{
+    const std::string doc = "| `outside` | before the table |\n"
+                            "<!-- t:begin -->\n"
+                            "| Name | Meaning |\n"
+                            "|---|---|\n"
+                            "| `a` | documented |\n"
+                            "|  `b` | stale |\n"
+                            "<!-- t:end -->\n"
+                            "| `after` | after the table |\n";
+    const std::vector<lva::audit::DocRow> rows =
+        lva::audit::markerTableRows(doc, "t");
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].text, "a");
+    EXPECT_EQ(rows[0].line, 5);
+    EXPECT_EQ(rows[1].text, "b");
+
+    const lva::audit::TableDiff diff = lva::audit::diffTable({"a", "c"}, rows);
+    EXPECT_EQ(diff.undocumented, std::vector<std::string>{"c"});
+    ASSERT_EQ(diff.stale.size(), 1u);
+    EXPECT_EQ(diff.stale[0].text, "b");
+    EXPECT_EQ(diff.stale[0].line, 6);
 }
 
 TEST(AuditSuppression, InlineAllowRemovesTheFinding)

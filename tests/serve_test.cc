@@ -118,6 +118,34 @@ TEST(ServeConfig, RejectsUnknownAndMistypedKeys)
                  std::runtime_error);
 }
 
+TEST(ServeConfig, BoundsThreadsAndPrefetchDegree)
+{
+    // Both size allocations in the worker, so a hostile request must
+    // not reach ApproxMemory or GhbPrefetcher with them.
+    for (const char *bad :
+         {"{\"threads\":0}", "{\"threads\":33}",
+          "{\"threads\":4294967295}", "{\"prefetchDegree\":257}",
+          "{\"prefetchDegree\":4294967295}"})
+        EXPECT_THROW(configFromJson(parseJson(bad)), std::runtime_error)
+            << bad;
+
+    const ApproxMemory::Config widest = configFromJson(
+        parseJson("{\"threads\":32,\"prefetchDegree\":256}"));
+    EXPECT_EQ(widest.threads, 32u);
+    EXPECT_EQ(widest.prefetch.degree, 256u);
+    const ApproxMemory::Config none =
+        configFromJson(parseJson("{\"prefetchDegree\":0}"));
+    EXPECT_EQ(none.prefetch.degree, 0u);
+
+    // On a heterogeneous machine the core count is fixed.
+    ApproxMemory::Config hetero = Evaluator::baselineLva();
+    hetero.threadApprox.assign(4, hetero.approx);
+    EXPECT_THROW(configFromJson(parseJson("{\"threads\":2}"), hetero),
+                 std::runtime_error);
+    EXPECT_EQ(configFromJson(parseJson("{\"threads\":4}"), hetero).threads,
+              4u);
+}
+
 TEST(ServeConfig, SweepPointsDecodeAndValidate)
 {
     const std::vector<SweepPoint> points = sweepPointsFromJson(

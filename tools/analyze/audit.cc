@@ -54,66 +54,109 @@ struct Sink
     }
 };
 
-// ---------------------------------------------------------------------
-// Doc tables: metrics.md catalog rows and README knob rows.
-// ---------------------------------------------------------------------
-
-struct DocRow
+/** Call @p fn(text, line) for every line of @p content (1-based). */
+template <typename Fn>
+void
+forEachLine(const std::string &content, Fn &&fn)
 {
-    std::string text;
-    int line = 0;
-};
+    std::size_t pos = 0;
+    int line = 1;
+    while (pos <= content.size()) {
+        std::size_t eol = content.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = content.size();
+        fn(content.substr(pos, eol - pos), line);
+        if (eol == content.size())
+            break;
+        pos = eol + 1;
+        ++line;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Doc tables: marker-delimited tables diffed two-way against names the
+// code defines (knobs, bench drivers, hot-path fenced files).
+// ---------------------------------------------------------------------
 
 /**
- * First-cell `code` entries of table rows between the given marker
- * comments.  Empty when the file or the markers are absent.
+ * Rows of the @p marker table in the first text file whose path ends
+ * in @p pathSuffix; @p docPath is left empty when there is no such
+ * file.
  */
 std::vector<DocRow>
 tableRows(const Project &project, const std::string &pathSuffix,
-          const std::string &beginMarker, std::string *docPath)
+          const std::string &marker, std::string *docPath)
 {
-    std::vector<DocRow> rows;
-    const std::string endMarker =
-        beginMarker.substr(0, beginMarker.find(":begin")) + ":end";
-    static const std::regex rowRe(R"(^\|\s*`([^`]+)`)");
     for (const TextFile &t : project.texts) {
-        if (t.path.size() < pathSuffix.size() ||
+        if (t.path.size() >= pathSuffix.size() &&
             t.path.compare(t.path.size() - pathSuffix.size(),
-                           pathSuffix.size(), pathSuffix) != 0)
-            continue;
-        if (docPath)
+                           pathSuffix.size(), pathSuffix) == 0) {
             *docPath = t.path;
-        bool inTable = false;
-        std::size_t pos = 0;
-        int line = 1;
-        while (pos <= t.content.size()) {
-            std::size_t eol = t.content.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = t.content.size();
-            const std::string text = t.content.substr(pos, eol - pos);
-            if (text.find(beginMarker) != std::string::npos)
-                inTable = true;
-            else if (text.find(endMarker) != std::string::npos)
-                inTable = false;
-            std::smatch m;
-            if (inTable && std::regex_search(text, m, rowRe))
-                rows.push_back({m[1].str(), line});
-            if (eol == t.content.size())
-                break;
-            pos = eol + 1;
-            ++line;
+            return markerTableRows(t.content, marker);
         }
-        break;
     }
-    return rows;
+    return {};
 }
 
-/** thread7 / core12 / bank3 -> thread<N> etc (the catalog's form). */
-std::string
-normalizeIndices(const std::string &path)
+/** A name the code defines, at the place that defines it. */
+struct CodeName
 {
-    static const std::regex re(R"((thread|core|bank|worker)[0-9]+)");
-    return std::regex_replace(path, re, "$1<N>");
+    std::string name;
+    std::string file;
+    int line = 0;
+};
+
+/** One doc table, its two rule ids and the words of their messages. */
+struct DocTableRule
+{
+    const char *docSuffix;    ///< e.g. "README.md"
+    const char *marker;       ///< e.g. "knobs"
+    const char *undocumented; ///< reported at each use of the name
+    const char *stale;        ///< reported at the row
+    const char *what;         ///< e.g. "environment knob"
+    const char *codeSide;     ///< why a stale row is stale
+};
+
+/**
+ * The two-way diff behind every doc-table rule.  Skipped when the doc
+ * is absent (fixture trees are sparse); a doc without the table makes
+ * every name undocumented.
+ */
+void
+auditDocTable(const Project &project, Sink &sink, const DocTableRule &rule,
+              const std::vector<CodeName> &code)
+{
+    std::string docPath;
+    const std::vector<DocRow> rows =
+        tableRows(project, rule.docSuffix, rule.marker, &docPath);
+    if (docPath.empty())
+        return;
+    std::set<std::string> names;
+    for (const CodeName &c : code)
+        names.insert(c.name);
+    const TableDiff diff = diffTable(names, rows);
+    const std::set<std::string> missing(diff.undocumented.begin(),
+                                        diff.undocumented.end());
+    for (const CodeName &c : code) {
+        if (missing.count(c.name))
+            sink.emit(c.file, c.line, rule.undocumented, c.name,
+                      std::string(rule.what) + " " + c.name +
+                          " has no row in the " + rule.marker +
+                          " table of " + docPath);
+    }
+    for (const DocRow &r : diff.stale)
+        sink.emit(docPath, r.line, rule.stale, r.text,
+                  docPath + " documents " + rule.what + " " + r.text +
+                      " but " + rule.codeSide + "; stale documentation");
+}
+
+/** src/, tools/ and bench/: where knobs and hot paths are inventoried. */
+bool
+codeScope(const std::string &path)
+{
+    return path.rfind("src/", 0) == 0 ||
+           path.rfind("tools/", 0) == 0 ||
+           path.rfind("bench/", 0) == 0;
 }
 
 // ---------------------------------------------------------------------
@@ -243,9 +286,8 @@ void
 auditStats(const Project &project, Sink &sink)
 {
     std::string docPath;
-    const std::vector<DocRow> rows = tableRows(
-        project, "docs/metrics.md", "<!-- catalog:begin -->",
-        &docPath);
+    const std::vector<DocRow> rows =
+        tableRows(project, "docs/metrics.md", "catalog", &docPath);
     if (rows.empty())
         return; // no catalog to audit against (e.g. bare fixture)
 
@@ -270,9 +312,7 @@ auditStats(const Project &project, Sink &sink)
                               lit.text +
                               "' matches no row of the metric "
                               "catalog in " +
-                              docPath +
-                              "; document it (and re-run "
-                              "scripts/check_docs.sh)");
+                              docPath + "; document it");
             }
         }
     }
@@ -367,37 +407,15 @@ auditFaults(const Project &project, Sink &sink)
 // 4. Knob audit.
 // ---------------------------------------------------------------------
 
-bool
-knobScope(const std::string &path)
-{
-    return path.rfind("src/", 0) == 0 ||
-           path.rfind("tools/", 0) == 0 ||
-           path.rfind("bench/", 0) == 0;
-}
-
 void
 auditKnobs(const Project &project, Sink &sink)
 {
-    std::string docPath;
-    const std::vector<DocRow> rows = tableRows(
-        project, "README.md", "<!-- knobs:begin -->", &docPath);
-
-    std::set<std::string> documented;
-    for (const DocRow &r : rows)
-        documented.insert(r.text);
-
-    std::set<std::string> mentioned;
+    std::vector<CodeName> knobs;
     for (const SourceFile &f : project.sources) {
-        if (!knobScope(f.path))
+        if (!codeScope(f.path))
             continue;
         for (const KnobUse &k : f.knobs) {
-            mentioned.insert(k.name);
-            if (!rows.empty() && !documented.count(k.name)) {
-                sink.emit(f.path, k.line, kKnobUndocumented, k.name,
-                          "environment knob " + k.name +
-                              " is read here but missing from the "
-                              "README knob table");
-            }
+            knobs.push_back({k.name, f.path, k.line});
             if (k.directGetenv &&
                 f.path != "src/util/env_knob.cc") {
                 sink.emit(
@@ -410,13 +428,11 @@ auditKnobs(const Project &project, Sink &sink)
             }
         }
     }
-    for (const DocRow &r : rows) {
-        if (!mentioned.count(r.text))
-            sink.emit(docPath, r.line, kKnobStaleDoc, r.text,
-                      "README documents knob " + r.text +
-                          " but nothing under src/, tools/ or bench/ "
-                          "references it; stale documentation");
-    }
+    auditDocTable(project, sink,
+                  {"README.md", "knobs", kKnobUndocumented, kKnobStaleDoc,
+                   "environment knob",
+                   "nothing under src/, tools/ or bench/ uses it"},
+                  knobs);
 }
 
 // ---------------------------------------------------------------------
@@ -499,6 +515,50 @@ auditLocks(const Project &project, Sink &sink)
 }
 
 // ---------------------------------------------------------------------
+// 6. Bench drivers and hot-path fences vs their doc tables.
+// ---------------------------------------------------------------------
+
+void
+auditDrivers(const Project &project, Sink &sink)
+{
+    // The figure drivers share one source file, so the CMake target
+    // names, not the bench/*.cc basenames, are the driver list.
+    static const std::regex decl(R"(^\s*lva_(?:bench|figure)\((\w+)\))");
+    std::vector<CodeName> drivers;
+    for (const TextFile &t : project.texts) {
+        if (t.path != "bench/CMakeLists.txt")
+            continue;
+        forEachLine(t.content, [&](const std::string &text, int line) {
+            std::smatch m;
+            if (std::regex_search(text, m, decl))
+                drivers.push_back({m[1].str(), t.path, line});
+        });
+    }
+    auditDocTable(project, sink,
+                  {"docs/reproducing.md", "drivers",
+                   kDriverUndocumented, kDriverStaleDoc, "bench driver",
+                   "bench/CMakeLists.txt declares no lva_bench or "
+                   "lva_figure of that name"},
+                  drivers);
+}
+
+void
+auditHotPaths(const Project &project, Sink &sink)
+{
+    std::vector<CodeName> fenced;
+    for (const SourceFile &f : project.sources)
+        if (codeScope(f.path) && f.hotPathLine > 0)
+            fenced.push_back({f.path, f.path, f.hotPathLine});
+    auditDocTable(project, sink,
+                  {"docs/performance.md", "hotpath",
+                   kHotPathUndocumented, kHotPathStaleDoc,
+                   "hot-path fenced file",
+                   "no source under src/, tools/ or bench/ of that "
+                   "path opens an lva-hot-path fence"},
+                  fenced);
+}
+
+// ---------------------------------------------------------------------
 // Suppression-fence hygiene from the per-file parse.
 // ---------------------------------------------------------------------
 
@@ -551,6 +611,18 @@ auditRuleCatalog()
          "edges) must be acyclic"},
         {kLockWaitHeld, "everywhere",
          "no condition_variable wait while holding a second mutex"},
+        {kDriverUndocumented, "bench/CMakeLists.txt",
+         "every lva_bench/lva_figure driver must have a row in the "
+         "docs/reproducing.md drivers table"},
+        {kDriverStaleDoc, "docs/reproducing.md",
+         "every drivers row must name a driver bench/CMakeLists.txt "
+         "declares"},
+        {kHotPathUndocumented, "src/, tools/, bench/",
+         "every source with a whole-line lva-hot-path begin marker "
+         "must have a row in the docs/performance.md hotpath table"},
+        {kHotPathStaleDoc, "docs/performance.md",
+         "every hotpath row must name a source that opens an "
+         "lva-hot-path fence"},
         {lint::kBadAllowFence, "everywhere",
          "unbalanced lva-audit begin-allow/end-allow fences"},
         {kStaleBaseline, "the baseline file",
@@ -560,34 +632,65 @@ auditRuleCatalog()
     return catalog;
 }
 
+std::vector<DocRow>
+markerTableRows(const std::string &content, const std::string &marker)
+{
+    std::vector<DocRow> rows;
+    const std::string begin = "<!-- " + marker + ":begin -->";
+    const std::string end = "<!-- " + marker + ":end -->";
+    static const std::regex rowRe(R"(^\|\s*`([^`]+)`)");
+    bool inTable = false;
+    forEachLine(content, [&](const std::string &text, int line) {
+        if (text.find(begin) != std::string::npos)
+            inTable = true;
+        else if (text.find(end) != std::string::npos)
+            inTable = false;
+        std::smatch m;
+        if (inTable && std::regex_search(text, m, rowRe))
+            rows.push_back({m[1].str(), line});
+    });
+    return rows;
+}
+
+TableDiff
+diffTable(const std::set<std::string> &names, const std::vector<DocRow> &rows)
+{
+    TableDiff out;
+    std::set<std::string> documented;
+    for (const DocRow &r : rows) {
+        documented.insert(r.text);
+        if (!names.count(r.text))
+            out.stale.push_back(r);
+    }
+    for (const std::string &n : names)
+        if (!documented.count(n))
+            out.undocumented.push_back(n);
+    return out;
+}
+
+std::string
+normalizeIndices(const std::string &path)
+{
+    static const std::regex re(R"((thread|core|bank|worker)[0-9]+)");
+    return std::regex_replace(path, re, "$1<N>");
+}
+
 Baseline
 parseBaseline(const std::string &relPath, const std::string &content)
 {
     Baseline out;
     out.path = relPath;
-    std::size_t pos = 0;
-    int line = 1;
-    while (pos <= content.size()) {
-        std::size_t eol = content.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = content.size();
-        const std::string text = content.substr(pos, eol - pos);
-        if (!text.empty() && text[0] != '#') {
-            const std::size_t t1 = text.find('\t');
-            const std::size_t t2 =
-                t1 == std::string::npos ? t1 : text.find('\t', t1 + 1);
-            if (t2 != std::string::npos) {
-                out.entries.push_back(
-                    {text.substr(0, t1),
-                     text.substr(t1 + 1, t2 - t1 - 1),
-                     text.substr(t2 + 1), line, false});
-            }
-        }
-        if (eol == content.size())
-            break;
-        pos = eol + 1;
-        ++line;
-    }
+    forEachLine(content, [&](const std::string &text, int line) {
+        if (text.empty() || text[0] == '#')
+            return;
+        const std::size_t t1 = text.find('\t');
+        const std::size_t t2 =
+            t1 == std::string::npos ? t1 : text.find('\t', t1 + 1);
+        if (t2 != std::string::npos)
+            out.entries.push_back({text.substr(0, t1),
+                                   text.substr(t1 + 1, t2 - t1 - 1),
+                                   text.substr(t2 + 1), line, false});
+    });
     return out;
 }
 
@@ -600,6 +703,8 @@ runAudit(const Project &project, Baseline *baseline)
     auditFaults(project, sink);
     auditKnobs(project, sink);
     auditLocks(project, sink);
+    auditDrivers(project, sink);
+    auditHotPaths(project, sink);
     auditFences(project, sink);
 
     if (baseline) {

@@ -21,9 +21,13 @@ struct LoadOptions
     /** Directories walked for C++ sources (repo-relative). */
     std::vector<std::string> sourceRoots = {"src", "tools", "bench",
                                             "tests", "examples"};
-    /** Directories/files scanned as text (scripts, workflows, docs). */
-    std::vector<std::string> textRoots = {"scripts", ".github", "docs",
-                                          "README.md", "DESIGN.md"};
+    /**
+     * Directories/files scanned as text (scripts, workflows, docs,
+     * and the bench driver declarations).
+     */
+    std::vector<std::string> textRoots = {
+        "scripts",   ".github",   "docs",
+        "README.md", "DESIGN.md", "bench/CMakeLists.txt"};
     /** Repo-relative path prefixes to drop. */
     std::vector<std::string> excludes = {"tests/lint_fixtures/",
                                          "tests/audit_fixtures/"};

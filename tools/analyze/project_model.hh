@@ -31,6 +31,9 @@
  *     identities so ServeStats::mutex_ and ServeLoop::mutex_ stay
  *     distinct.
  *
+ * It also records where a file's first lva-hot-path fence opens,
+ * found by lva_lint's own fence parser (lint::hotPathFenceLines).
+ *
  * Suppressions use the lva_lint grammar under the "lva-audit" tag:
  * `// lva-audit: allow(<rule>)` on or above the line, or
  * begin-allow/end-allow fences.  The analyses themselves live in
@@ -121,6 +124,8 @@ struct SourceFile
     std::vector<FaultRef> faultRefs;
     std::vector<LockEdge> lockEdges;
     std::vector<CvWait> cvWaits;
+    /** Line of the first lva-hot-path begin marker; 0 = unfenced. */
+    int hotPathLine = 0;
     lint::Suppressions suppressions; ///< tag "lva-audit"
 };
 

@@ -212,6 +212,43 @@ parseSuppressions(const std::string &relPath, const std::string &src,
     return out;
 }
 
+std::vector<bool>
+hotPathFenceLines(const std::string &source, int lastLine)
+{
+    std::vector<bool> fenced(static_cast<std::size_t>(lastLine) + 2,
+                             false);
+    static const std::regex marker(
+        R"(^\s*//.*lva-hot-path:\s*(begin|end))");
+    int line = 1;
+    int openAt = 0; // 0 = not inside a fence
+    std::size_t pos = 0;
+    while (pos <= source.size()) {
+        std::size_t eol = source.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = source.size();
+        const std::string text = source.substr(pos, eol - pos);
+        std::smatch m;
+        if (std::regex_search(text, m, marker)) {
+            if (m[1] == "begin") {
+                if (openAt == 0)
+                    openAt = line;
+            } else if (openAt != 0) {
+                for (int l = openAt; l <= line; ++l)
+                    fenced[static_cast<std::size_t>(l)] = true;
+                openAt = 0;
+            }
+        }
+        if (eol == source.size())
+            break;
+        pos = eol + 1;
+        ++line;
+    }
+    if (openAt != 0)
+        for (int l = openAt; l <= lastLine; ++l)
+            fenced[static_cast<std::size_t>(l)] = true;
+    return fenced;
+}
+
 namespace {
 
 bool
@@ -432,50 +469,6 @@ checkMutableGlobal(FileCtx &ctx, const Options &opts)
 // fences.  The fence markers live in comments, so they are parsed
 // from the raw source; the token scan runs over the stripped text.
 // ---------------------------------------------------------------------
-
-/**
- * 1-based line membership of `// lva-hot-path: begin` ... `end`
- * fences.  Only whole-line comments count as markers (so the marker
- * text inside string literals — this file's own tests, say — does
- * not open a fence).  An unmatched begin extends to end of file; an
- * unmatched end is ignored.
- */
-std::vector<bool>
-hotPathFenceLines(const std::string &source, int lastLine)
-{
-    std::vector<bool> fenced(static_cast<std::size_t>(lastLine) + 2,
-                             false);
-    static const std::regex marker(
-        R"(^\s*//.*lva-hot-path:\s*(begin|end))");
-    int line = 1;
-    int openAt = 0; // 0 = not inside a fence
-    std::size_t pos = 0;
-    while (pos <= source.size()) {
-        std::size_t eol = source.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = source.size();
-        const std::string text = source.substr(pos, eol - pos);
-        std::smatch m;
-        if (std::regex_search(text, m, marker)) {
-            if (m[1] == "begin") {
-                if (openAt == 0)
-                    openAt = line;
-            } else if (openAt != 0) {
-                for (int l = openAt; l <= line; ++l)
-                    fenced[static_cast<std::size_t>(l)] = true;
-                openAt = 0;
-            }
-        }
-        if (eol == source.size())
-            break;
-        pos = eol + 1;
-        ++line;
-    }
-    if (openAt != 0)
-        for (int l = openAt; l <= lastLine; ++l)
-            fenced[static_cast<std::size_t>(l)] = true;
-    return fenced;
-}
 
 void
 checkHotPathAlloc(FileCtx &ctx, const std::string &source)

@@ -94,6 +94,16 @@ std::string stripComments(const std::string &source, bool keepStrings);
 std::vector<int> buildLineTable(const std::string &source);
 
 /**
+ * 1-based line membership (index = line, sized @p lastLine + 2) of
+ * `// lva-hot-path: begin` ... `end` fences.  Only whole-line comments
+ * count as markers, so the marker text inside a string literal or
+ * after code does not open a fence.  An unmatched begin extends to
+ * @p lastLine; an unmatched end is ignored.  Shared by the
+ * hot-path-alloc rule and lva_audit's fenced-file inventory.
+ */
+std::vector<bool> hotPathFenceLines(const std::string &source, int lastLine);
+
+/**
  * Per-file suppression state parsed from the raw source under a
  * given comment tag ("lva-lint" or "lva-audit"):
  *

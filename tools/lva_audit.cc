@@ -2,7 +2,8 @@
  * @file
  * lva-audit driver: builds one project model of the whole repository
  * (tools/analyze) and runs the cross-file analyses — include
- * layering, stat/knob/fault-site registries, lock-order graph — that
+ * layering, stat/knob/fault-site registries, lock-order graph, the
+ * bench-driver and hot-path doc tables — that
  * the per-file lva_lint pass cannot see.  Findings print gcc-style;
  * exit status: 0 clean, 1 findings, 2 usage/IO error.
  *
@@ -11,8 +12,8 @@
  *             [--exclude PREFIX]... [--rules]
  *
  *   The model is built from src/ tools/ bench/ tests/ (C++ sources)
- *   plus scripts/ .github/ docs/ README.md DESIGN.md (reference
- *   scans) under --root.  --compdb additionally merges the file list
+ *   plus scripts/ .github/ docs/ README.md DESIGN.md
+ *   bench/CMakeLists.txt (reference scans) under --root.  --compdb additionally merges the file list
  *   of a compilation database (CI parity with lva_lint).  --baseline
  *   defaults to tools/analyze/audit_baseline.txt under the root when
  *   present; stale entries are findings, so the baseline only ever
