@@ -1,7 +1,8 @@
 /**
  * @file
- * Builders that flatten every component's counters into a StatDump —
- * the library's equivalent of gem5's stats.txt.
+ * The lva-stats-v1 export: every run's registry snapshot leaves the
+ * simulator as labelled points in one versioned, byte-deterministic
+ * JSON document under results/stats/.
  */
 
 #ifndef LVA_EVAL_STAT_REPORT_HH
@@ -10,44 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "core/approx_memory.hh"
-#include "sim/full_system.hh"
-#include "util/stat_dump.hh"
+#include "eval/sweep.hh"
 #include "util/stat_registry.hh"
 
 namespace lva {
-
-struct PointFailure; // eval/sweep.hh
-
-/** Append one cache's counters under @p prefix. */
-void appendCacheStats(StatDump &dump, const std::string &prefix,
-                      const CacheStats &stats);
-
-/** Append one approximator's counters under @p prefix. */
-void appendApproximatorStats(StatDump &dump, const std::string &prefix,
-                             const ApproximatorStats &stats);
-
-/** Append a phase-1 run's aggregate metrics under @p prefix. */
-void appendMemMetrics(StatDump &dump, const std::string &prefix,
-                      const MemMetrics &metrics);
-
-/**
- * Full phase-1 report: aggregate metrics plus per-thread cache and
- * mechanism breakdowns.
- */
-StatDump reportApproxMemory(const ApproxMemory &mem,
-                            const std::string &prefix = "phase1");
-
-/** Full phase-2 report for one timing replay. */
-StatDump reportFullSystem(const FullSystemResult &result,
-                          const std::string &prefix = "system");
-
-/**
- * Flatten a registry snapshot into a StatDump under @p prefix.
- * Histograms contribute "<path>.total", ".underflow" and ".overflow".
- */
-void appendSnapshot(StatDump &dump, const std::string &prefix,
-                    const StatSnapshot &snap);
 
 /** One sweep point's snapshot, labelled for the JSON export. */
 struct NamedSnapshot
@@ -58,21 +25,16 @@ struct NamedSnapshot
 };
 
 /**
- * Render the versioned stats export: schema tag, driver name, and one
- * object per sweep point. Byte-deterministic for a given input.
- */
-std::string renderStatsJson(const std::string &driver,
-                            const std::vector<NamedSnapshot> &snaps);
-
-/**
- * As above, plus a "failures" section listing every point a checked
- * sweep could not complete. With @p failures empty the bytes are
- * identical to the failure-less overload, so clean runs — including
- * resumed ones — export exactly the historical shape.
+ * Render the versioned stats export: schema tag, driver name, one
+ * object per sweep point, and — only when @p failures is non-empty —
+ * a "failures" section listing every point a checked sweep could not
+ * complete. Clean runs, resumed ones included, therefore export
+ * exactly the failure-less shape. Byte-deterministic for a given
+ * input.
  */
 std::string renderStatsJson(const std::string &driver,
                             const std::vector<NamedSnapshot> &snaps,
-                            const std::vector<PointFailure> &failures);
+                            const std::vector<PointFailure> &failures = {});
 
 /**
  * Guard against silently truncating an export written by a different
@@ -83,7 +45,7 @@ std::string renderStatsJson(const std::string &driver,
 void checkStatsFileSchema(const std::string &path);
 
 /**
- * Write the export for @p driver to
+ * Write renderStatsJson(@p driver, @p snaps, @p failures) to
  * "<resultsDir()>/stats/<driver>.json" (LVA_RESULTS_DIR honored).
  * Errors out — it does not truncate — when the existing file has a
  * different schema version.
@@ -91,12 +53,8 @@ void checkStatsFileSchema(const std::string &path);
  * @return the path written
  */
 std::string writeStatsJson(const std::string &driver,
-                           const std::vector<NamedSnapshot> &snaps);
-
-/** writeStatsJson with a "failures" section (partial sweeps). */
-std::string writeStatsJson(const std::string &driver,
                            const std::vector<NamedSnapshot> &snaps,
-                           const std::vector<PointFailure> &failures);
+                           const std::vector<PointFailure> &failures = {});
 
 } // namespace lva
 

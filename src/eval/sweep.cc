@@ -588,21 +588,6 @@ decodeEvalResult(const JsonValue &payload)
 
 namespace {
 
-std::vector<NamedSnapshot>
-namedSnapshots(const std::vector<SweepPoint> &points,
-               const std::vector<EvalResult> &results)
-{
-    lva_assert(points.size() == results.size(),
-               "point/result count mismatch: %zu vs %zu",
-               points.size(), results.size());
-    std::vector<NamedSnapshot> snaps;
-    snaps.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        snaps.push_back(
-            {points[i].label, points[i].workload, results[i].stats});
-    return snaps;
-}
-
 /**
  * Completed points only: a failed point's placeholder snapshot would
  * export NaN gauges as real data, so failures are listed in the
@@ -631,26 +616,10 @@ namedSnapshots(const std::vector<SweepPoint> &points,
 std::string
 renderSweepStats(const std::string &driver,
                  const std::vector<SweepPoint> &points,
-                 const std::vector<EvalResult> &results)
-{
-    return renderStatsJson(driver, namedSnapshots(points, results));
-}
-
-std::string
-renderSweepStats(const std::string &driver,
-                 const std::vector<SweepPoint> &points,
                  const SweepOutcome &outcome)
 {
     return renderStatsJson(driver, namedSnapshots(points, outcome),
                            outcome.failures);
-}
-
-std::string
-exportSweepStats(const std::string &driver,
-                 const std::vector<SweepPoint> &points,
-                 const std::vector<EvalResult> &results)
-{
-    return writeStatsJson(driver, namedSnapshots(points, results));
 }
 
 std::string

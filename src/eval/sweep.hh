@@ -428,37 +428,25 @@ std::string encodePointFailure(const PointFailure &f);
 
 /**
  * Render the versioned stats export for a completed sweep as a byte
- * string — completed points' labelled snapshots in submission order
- * plus (for the outcome overload) a "failures" section for every
- * isolated point. These are exactly the bytes exportSweepStats
- * writes to disk, exposed separately so the evaluation service
- * (docs/serving.md) can stream a byte-identical export back to a
- * client without touching the results tree.
+ * string: completed points' labelled snapshots in submission order
+ * plus a "failures" section for every isolated point. These are
+ * exactly the bytes exportSweepStats writes to disk, exposed
+ * separately so the evaluation service (docs/serving.md) can stream a
+ * byte-identical export back to a client without touching the results
+ * tree.
  */
-std::string renderSweepStats(const std::string &driver,
-                             const std::vector<SweepPoint> &points,
-                             const std::vector<EvalResult> &results);
 std::string renderSweepStats(const std::string &driver,
                              const std::vector<SweepPoint> &points,
                              const SweepOutcome &outcome);
 
 /**
- * Write the versioned stats JSON export for a completed sweep to
- * "<resultsDir()>/stats/<driver>.json": one labelled snapshot per
- * point, in submission order. Because results come back in submission
- * order and each point's snapshot is merged seed-serially, the bytes
- * are identical for any LVA_JOBS.
+ * Write renderSweepStats to "<resultsDir()>/stats/<driver>.json".
+ * Because results come back in submission order and each point's
+ * snapshot is merged seed-serially, the bytes are identical for any
+ * LVA_JOBS; a degraded sweep's export lists its failures rather than
+ * silently truncating.
  *
  * @return the path written
- */
-std::string exportSweepStats(const std::string &driver,
-                             const std::vector<SweepPoint> &points,
-                             const std::vector<EvalResult> &results);
-
-/**
- * Partial-result export: completed points in submission order plus a
- * "failures" section for every isolated point — the export never
- * silently truncates a degraded sweep.
  */
 std::string exportSweepStats(const std::string &driver,
                              const std::vector<SweepPoint> &points,

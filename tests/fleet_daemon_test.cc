@@ -260,6 +260,39 @@ TEST_F(FleetDaemonTest, ServesPingAndDrainsOnSigterm)
               std::string::npos);
 }
 
+/** @p pid's virtual address-space size in kB (VmSize), or 0. */
+long
+vmSizeKb(pid_t pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::atol(line.c_str() + 7);
+    return 0;
+}
+
+TEST_F(FleetDaemonTest, FinishedConnectionsReleaseTheirRelayThreads)
+{
+    // Each connection gets a relay thread with its own stack mapping
+    // (8 MB by default). Finished relays must be joined while the
+    // fleet keeps serving, not only at shutdown, or its address space
+    // grows with every client it has ever had.
+    startFleet(1);
+    const std::string ping =
+        "{\"schema\":\"lva-rpc-v1\",\"op\":\"ping\"}";
+    EXPECT_TRUE(rpc(ping).at("ok").boolean);
+    const long before = vmSizeKb(pid_);
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 100; ++i)
+        ASSERT_TRUE(rpc(ping).at("ok").boolean) << "ping " << i;
+    const long grownMb = (vmSizeKb(pid_) - before) / 1024;
+    // 100 unjoined relays hold ~800 MB of stacks.
+    EXPECT_LT(grownMb, 200) << "VmSize grew by " << grownMb << " MB";
+    kill(pid_, SIGTERM);
+    EXPECT_EQ(reap(), 0) << slurp(log_);
+}
+
 TEST_F(FleetDaemonTest, SweepMatchesDirectExportBytes)
 {
     // A squeezed per-worker cache (1 entry, 2 workloads in the sweep)

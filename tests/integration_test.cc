@@ -10,6 +10,7 @@
 #include "eval/figure.hh"
 #include "eval/fullsystem_eval.hh"
 #include "eval/sweep.hh"
+#include "sim/machine_config.hh"
 #include "workloads/workload.hh"
 
 namespace lva {
@@ -114,6 +115,40 @@ TEST(Integration, ReplayFanOutInsideAPoolMatchesSerial)
     ASSERT_TRUE(mapped.ok());
     EXPECT_EQ(*mapped.results[0], serial);
     EXPECT_EQ(*mapped.results[1], serial);
+}
+
+TEST(Integration, FsdiagExportMatchesTheFig10Replay)
+{
+    // fsdiag exports runFullSystemSweep's points; fig10_fullsystem
+    // replays its FigureSpec through figureSystems. For the points
+    // both run the snapshots must be byte-equal, which is what lets
+    // fsdiag move onto the spec replay.
+    const FigureSpec &spec = figureSpec("fig10_fullsystem");
+    const std::vector<FullSystemConfig> systems =
+        figureSystems(spec, defaultMachine());
+    for (const std::string w : {"canneal", "bodytrack"}) {
+        const std::string fsdiag = renderStatsJson(
+            "fsdiag",
+            fsSweepSnapshots({runFullSystemSweep(w, {0, 16}, 1, 0.05)}));
+
+        std::vector<std::string> labels;
+        std::vector<FullSystemConfig> picked;
+        for (std::size_t i = 0; i < spec.axis.size(); ++i) {
+            const std::string &label = spec.axis[i].label;
+            if (label == "baseline" || label == "lva-d0" ||
+                label == "lva-d16") {
+                labels.push_back(label);
+                picked.push_back(systems[i]);
+            }
+        }
+        ASSERT_EQ(labels.size(), 3u);
+        std::vector<FullSystemResult> runs = replayConfigs(
+            recordPreciseTraces(w, 1, 0.05, &defaultMachine()), picked);
+        std::vector<NamedSnapshot> snaps;
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            snaps.push_back({w + "/" + labels[i], w, runs[i].stats});
+        EXPECT_EQ(renderStatsJson("fsdiag", snaps), fsdiag) << w;
+    }
 }
 
 } // namespace

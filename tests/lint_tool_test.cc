@@ -103,7 +103,7 @@ TEST(LintRules, UnorderedIterationFiresOnlyOnExportPaths)
     EXPECT_TRUE(lintSource("src/sim/fixture.cc", src).empty());
 
     // src/util/stat* export plumbing is in scope too.
-    EXPECT_EQ(hits(lintSource("src/util/stat_dump_fixture.cc", src)),
+    EXPECT_EQ(hits(lintSource("src/util/stats_json_fixture.cc", src)),
               expected);
 }
 

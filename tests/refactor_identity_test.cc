@@ -73,15 +73,14 @@ fig5ExportDigest(u32 jobs,
     Evaluator eval(kSeeds, kScale);
     SweepRunner runner(eval, jobs);
     const std::vector<SweepPoint> points = fig5Points(base);
-    std::vector<EvalResult> results =
-        runner.runChecked(points, {}).results;
-    for (EvalResult &r : results)
+    SweepOutcome outcome = runner.runChecked(points, {});
+    for (EvalResult &r : outcome.results)
         for (const EvalMetricDef &d : sweepRuntimeDefs())
             std::erase_if(r.stats.entries, [&d](const SnapEntry &e) {
                 return e.path == d.path;
             });
     return hexU64(
-        fnv1a64(renderSweepStats("fig5_ghb_error", points, results)));
+        fnv1a64(renderSweepStats("fig5_ghb_error", points, outcome)));
 }
 
 TEST(RefactorIdentity, Fig5ExportBytesMatchPreRefactorSerial)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the StatDump framework, the component stat reports and
- * the versioned lva-stats-v1 JSON export.
+ * Tests for the versioned lva-stats-v1 JSON export, and that it
+ * carries every aggregate the phase-1 and phase-2 models report.
  */
 
 #include <gtest/gtest.h>
@@ -12,44 +12,40 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "eval/figure.hh"
 #include "eval/stat_report.hh"
+#include "util/checkpoint.hh"
 #include "util/results_dir.hh"
 #include "util/stats_json.hh"
 
 namespace lva {
 namespace {
 
-TEST(StatDump, AddAndLookup)
+/** @p snap as one point of a rendered export, read back: its "stats". */
+JsonValue
+exportedStats(const StatSnapshot &snap)
 {
-    StatDump dump;
-    dump.add("a.b", 3.0, "a thing");
-    dump.add("a.c", 4.5);
-    EXPECT_DOUBLE_EQ(dump.valueOf("a.b"), 3.0);
-    EXPECT_DOUBLE_EQ(dump.valueOf("a.c"), 4.5);
-    EXPECT_DOUBLE_EQ(dump.valueOf("missing"), 0.0);
-    EXPECT_EQ(dump.entries().size(), 2u);
+    const JsonValue doc =
+        parseJson(renderStatsJson("unit_test", {{"p", "", snap}}));
+    return doc.at("points").items.at(0).at("stats");
 }
 
-TEST(StatDump, FileOutputIsGem5Style)
+/** Sum of the exported counters "<prefix><N>.<leaf>" over N. */
+u64
+sumOverIndex(const JsonValue &stats, const std::string &prefix,
+             const std::string &leaf)
 {
-    const std::string path = "test_stats_out.txt";
-    StatDump dump;
-    dump.add("sys.cycles", 1234, "total cycles");
-    dump.add("sys.ipc", 2.5, "aggregate IPC");
-    dump.writeFile(path);
-
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    EXPECT_NE(text.find("sys.cycles"), std::string::npos);
-    EXPECT_NE(text.find("1234"), std::string::npos);
-    EXPECT_NE(text.find("# total cycles"), std::string::npos);
-    EXPECT_NE(text.find("2.5"), std::string::npos);
-    std::filesystem::remove(path);
+    u64 total = 0;
+    for (u32 n = 0;; ++n) {
+        const JsonValue *e =
+            stats.find(prefix + std::to_string(n) + "." + leaf);
+        if (e == nullptr)
+            return total;
+        total += e->at("value").asU64();
+    }
 }
 
-TEST(StatReport, ApproxMemoryReportMatchesMetrics)
+TEST(StatReport, ApproxMemoryMetricsAreTheSumOfItsExportedLanes)
 {
     ApproxMemory::Config cfg;
     cfg.threads = 2;
@@ -60,20 +56,27 @@ TEST(StatReport, ApproxMemoryReportMatchesMetrics)
     mem.load(0, 0x400, 0x20000, Value::fromInt(1), true);
     mem.tickInstructions(1, 98);
 
-    const StatDump dump = reportApproxMemory(mem, "p1");
+    const JsonValue stats = exportedStats(mem.snapshot());
     const MemMetrics m = mem.metrics();
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.instructions"),
-                     static_cast<double>(m.instructions));
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.loadMisses"),
-                     static_cast<double>(m.loadMisses));
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.mpki"), m.mpki());
-    // Per-thread breakdown present.
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.thread0.l1.misses"), 2.0);
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.thread1.l1.misses"), 0.0);
-    EXPECT_DOUBLE_EQ(dump.valueOf("p1.thread0.lva.lookups"), 2.0);
+    const auto lanes = [&stats](const std::string &leaf) {
+        return sumOverIndex(stats, "thread", "mem." + leaf);
+    };
+    EXPECT_EQ(lanes("instructions"), m.instructions);
+    EXPECT_EQ(lanes("loads"), m.loads);
+    EXPECT_EQ(lanes("stores"), m.stores);
+    EXPECT_EQ(lanes("loadMisses"), m.loadMisses);
+    EXPECT_EQ(lanes("effectiveMisses"), m.effectiveMisses);
+    EXPECT_EQ(lanes("fetches"), m.fetches);
+    EXPECT_EQ(lanes("approxLoads"), m.approxLoads);
+    EXPECT_EQ(lanes("approximableLoads"), m.approximableLoads);
+    EXPECT_EQ(m.instructions, 100u);
+    // Per-thread component breakdown present.
+    EXPECT_EQ(stats.at("thread0.l1.misses").at("value").asU64(), 2u);
+    EXPECT_EQ(stats.at("thread1.l1.misses").at("value").asU64(), 0u);
+    EXPECT_EQ(stats.at("thread0.lva.lookups").at("value").asU64(), 2u);
 }
 
-TEST(StatReport, FullSystemReportMatchesResult)
+TEST(StatReport, FullSystemAggregatesMatchTheirExport)
 {
     FullSystemSim sim(FullSystemConfig::lva(2));
     std::vector<ThreadTrace> traces(4);
@@ -88,13 +91,21 @@ TEST(StatReport, FullSystemReportMatchesResult)
         traces[0].push_back(ev);
     }
     const FullSystemResult r = sim.run(traces);
-    const StatDump dump = reportFullSystem(r, "sys");
-    EXPECT_DOUBLE_EQ(dump.valueOf("sys.cycles"), r.cycles);
-    EXPECT_DOUBLE_EQ(dump.valueOf("sys.l1Misses"),
-                     static_cast<double>(r.l1Misses));
-    EXPECT_DOUBLE_EQ(dump.valueOf("sys.energy.total"),
-                     r.energy.total());
-    EXPECT_DOUBLE_EQ(dump.valueOf("sys.missEdp"), r.missEdp());
+    const JsonValue stats = exportedStats(r.stats);
+    const auto cores = [&stats](const std::string &leaf) {
+        return sumOverIndex(stats, "core", leaf);
+    };
+    EXPECT_EQ(stats.at("system.cycles").at("value").asDouble(),
+              r.cycles);
+    EXPECT_EQ(cores("loadMisses"), r.l1Misses);
+    EXPECT_EQ(cores("demandMisses"), r.demandMisses);
+    EXPECT_EQ(cores("approxMisses"), r.approxMisses);
+    EXPECT_EQ(cores("fetchesSkipped"), r.fetchesSkipped);
+    EXPECT_GT(r.l1Misses, 0u);
+    EXPECT_EQ(stats.at("energy.total").at("value").asDouble(),
+              r.energy.total());
+    EXPECT_EQ(r.missEdp(), compareStat(Compare::None, r.stats, r.stats,
+                                       kStatL1MissEdp));
 }
 
 namespace {

@@ -173,10 +173,8 @@ TEST(SweepRunner, StatsJsonExportIsJobCountInvariant)
         setenv("LVA_RESULTS_DIR", dir.c_str(), 1);
         Evaluator eval(2, 0.05);
         SweepRunner runner(eval, jobs);
-        const std::vector<EvalResult> results =
-            runner.runChecked(points, {}).results;
-        const std::string written =
-            exportSweepStats("sweep_json_test", points, results);
+        const std::string written = exportSweepStats(
+            "sweep_json_test", points, runner.runChecked(points, {}));
         unsetenv("LVA_RESULTS_DIR");
         std::ifstream in(written);
         std::stringstream ss;

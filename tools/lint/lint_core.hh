@@ -143,7 +143,7 @@ struct Options
      */
     std::vector<std::string> exportPaths = {
         "src/eval/",
-        "src/util/stat",  // stat_registry / stat_dump / stats_json
+        "src/util/stat",  // stat_registry / stats_json
         "tools/",
     };
 

@@ -59,6 +59,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -780,8 +781,24 @@ main(int argc, char **argv)
 
     const u64 kRelayTimeoutMs = 600000;
     std::atomic<bool> shutdownSeen{false};
-    std::vector<std::thread> relays;
+    // One relay thread per connection. A finished relay is joined on
+    // the next pass of the loop, so a long-lived fleet holds a stack
+    // only for connections still open; the drain below joins the rest.
+    struct Relay
+    {
+        std::atomic<bool> done{false};
+        std::thread thread;
+    };
+    std::list<Relay> relays;
     while (!g_stop.load()) {
+        for (auto it = relays.begin(); it != relays.end();) {
+            if (it->done.load()) {
+                it->thread.join();
+                it = relays.erase(it);
+            } else {
+                ++it;
+            }
+        }
         TcpStream conn;
         try {
             // Short poll so stop signals are observed promptly.
@@ -792,15 +809,17 @@ main(int argc, char **argv)
         }
         if (!conn.valid())
             continue;
-        relays.emplace_back([&fleet, &shutdownSeen,
-                             c = std::move(conn)]() mutable {
+        Relay &relay = relays.emplace_back();
+        relay.thread = std::thread([&fleet, &shutdownSeen, &relay,
+                                    c = std::move(conn)]() mutable {
             serveConnection(fleet, std::move(c), kRelayTimeoutMs,
                             shutdownSeen);
+            relay.done.store(true);
         });
     }
 
-    for (std::thread &t : relays)
-        t.join();
+    for (Relay &relay : relays)
+        relay.thread.join();
 
     // Drain the workers: a relayed `shutdown` already reached them
     // all; a signal-initiated stop still owes them the frame. Either
