@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
-# Static-analysis gate: lva_lint (custom determinism/safety rules) +
-# lva_audit (whole-project model: include layering, stat/knob/fault
-# registries, lock-order graph) + clang-tidy (curated .clang-tidy
-# profile) over the compilation database.  Non-zero exit on any
-# unsuppressed finding.
+# Static-analysis gate: lva_audit (the line-local determinism/safety
+# rules plus the whole-project model: include layering, stat/knob/
+# fault registries, lock-order graph, doc tables) + clang-tidy
+# (curated .clang-tidy profile) over the compilation database.
+# Non-zero exit on any unsuppressed finding.
 #
 # Usage: scripts/lint.sh [--no-tidy]
-#   LVA_BUILD_DIR  build tree holding lva_lint and
+#   LVA_BUILD_DIR  build tree holding lva_audit and
 #                  compile_commands.json (default: build)
 #
 # clang-tidy is optional at runtime: hosts without it (the minimal
-# container, for one) still get the full lva_lint pass, and CI installs
-# clang-tidy so the curated profile is enforced before merge.
+# container, for one) still get the full lva_audit pass, and CI
+# installs clang-tidy so the curated profile is enforced before merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,28 +19,14 @@ BUILD_DIR="${LVA_BUILD_DIR:-build}"
 RUN_TIDY=1
 [[ "${1:-}" == "--no-tidy" ]] && RUN_TIDY=0
 
-if [[ ! -x "$BUILD_DIR/tools/lva_lint" || \
-      ! -x "$BUILD_DIR/tools/lva_audit" ]]; then
-    cmake -B "$BUILD_DIR" -G Ninja >/dev/null
-    cmake --build "$BUILD_DIR" --target lva_lint lva_audit >/dev/null
-fi
+# Configure (keeping whatever generator the tree already uses) and
+# bring lva_audit up to date, so a stale binary never gates the tree.
+cmake -B "$BUILD_DIR" >/dev/null
+cmake --build "$BUILD_DIR" --target lva_audit >/dev/null
 
-# tests/lint_fixtures/ and tests/audit_fixtures/ are deliberately
-# hazardous input for the tool tests, not product code.
-"$BUILD_DIR/tools/lva_lint" --root . --exclude tests/lint_fixtures/ \
-    --exclude tests/audit_fixtures/ src bench tests tools examples
-
-# Whole-project semantic audit.  Prefer the compilation database so
-# the file set is exactly what the build compiles; fall back to the
-# source-root walk when the tree was configured without one.
-if [[ -f "$BUILD_DIR/compile_commands.json" ]]; then
-    "$BUILD_DIR/tools/lva_audit" --root . \
-        --compdb "$BUILD_DIR/compile_commands.json"
-else
-    echo "lint.sh: $BUILD_DIR/compile_commands.json missing;" \
-         "lva_audit falling back to the source-root walk"
-    "$BUILD_DIR/tools/lva_audit" --root .
-fi
+# The loader skips tests/lint_fixtures/ and tests/audit_fixtures/:
+# they are deliberately hazardous input for the tool tests.
+"$BUILD_DIR/tools/lva_audit" --root .
 
 if [[ "$RUN_TIDY" -eq 1 ]] && command -v clang-tidy >/dev/null 2>&1; then
     if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
@@ -58,6 +44,6 @@ if [[ "$RUN_TIDY" -eq 1 ]] && command -v clang-tidy >/dev/null 2>&1; then
     clang-tidy -p "$BUILD_DIR" --quiet "${files[@]}"
     echo "lint.sh: clang-tidy clean (${#files[@]} TUs)"
 elif [[ "$RUN_TIDY" -eq 1 ]]; then
-    echo "lint.sh: clang-tidy not installed; skipped (lva_lint rules" \
+    echo "lint.sh: clang-tidy not installed; skipped (lva_audit rules" \
          "still enforced — CI runs the full profile)"
 fi

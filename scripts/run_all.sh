@@ -28,28 +28,30 @@ fi
 
 JOBS="${LVA_JOBS:-$(nproc)}"
 
-cmake -B build -G Ninja
+# No -G: an existing tree keeps its generator, a fresh one gets
+# cmake's default (or $CMAKE_GENERATOR).
+cmake -B build
 cmake --build build
 ctest --test-dir build --output-on-failure
 
 if [[ "$MODE" == "quick" ]]; then
-    # Static-analysis gate: lva_lint determinism rules, the
-    # lva_audit whole-project model (layering, stat/knob/fault
-    # registries, lock order), and clang-tidy where installed.
+    # Static-analysis gate: lva_audit (the line-local determinism
+    # rules plus the whole-project model: layering, stat/knob/fault
+    # registries, lock order) and clang-tidy where installed.
     # Fails the run on any unsuppressed finding.
     scripts/lint.sh
 
     # Sanitizer matrix (DESIGN.md §12).  ASan and UBSan compose in one
     # tree and the entire ctest suite runs under both, so heap misuse
     # or UB anywhere in the simulator fails the smoke run.
-    cmake -B build-asan -G Ninja -DLVA_ASAN=ON -DLVA_UBSAN=ON
+    cmake -B build-asan -DLVA_ASAN=ON -DLVA_UBSAN=ON
     cmake --build build-asan
     ctest --test-dir build-asan --output-on-failure
 
     # ThreadSanitizer configuration: the gtest-free determinism check
     # is fully instrumented, so races in the thread pool or the
     # shared golden-run cache fail the run here.
-    cmake -B build-tsan -G Ninja -DLVA_TSAN=ON
+    cmake -B build-tsan -DLVA_TSAN=ON
     cmake --build build-tsan --target tsan_sweep_check
     ./build-tsan/tests/tsan_sweep_check
 

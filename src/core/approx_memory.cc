@@ -271,12 +271,6 @@ ApproxMemory::metrics() const
     return total;
 }
 
-MemMetrics
-ApproxMemory::metricsFor(ThreadId tid) const
-{
-    return laneFor(tid).mem->value();
-}
-
 const Cache &
 ApproxMemory::cacheFor(ThreadId tid) const
 {

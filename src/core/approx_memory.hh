@@ -162,9 +162,6 @@ class ApproxMemory : public MemoryBackend
     /** Metrics summed over all threads. */
     MemMetrics metrics() const;
 
-    /** Metrics of one thread (tests, per-lane reporting). */
-    MemMetrics metricsFor(ThreadId tid) const;
-
     /**
      * The simulation's stat registry; all per-thread component stats
      * live here under "thread<N>.{mem,l1,lva,lvp,prefetch}.*".

@@ -1,10 +1,10 @@
 /**
  * @file
  * lva-audit tests: every cross-file rule fires line-exactly on its
- * mini-tree under tests/audit_fixtures/, the clean tree comes back
- * empty (the binary's exit-0 path), suppressions and the baseline
- * remove findings, and stale baseline entries are themselves
- * findings.  Fixture trees mirror the real repo layout (src/, docs/,
+ * mini-tree under tests/audit_fixtures/, the line-local lint rules
+ * run on every loaded source, the clean tree comes back empty (the
+ * binary's exit-0 path), and suppressions remove findings.  Fixture
+ * trees mirror the real repo layout (src/, docs/,
  * scripts/, README.md) and load through the same loader the lva_audit
  * binary uses.
  */
@@ -23,7 +23,6 @@
 
 namespace {
 
-using lva::audit::Baseline;
 using lva::audit::loadProject;
 using lva::audit::Project;
 using lva::audit::runAudit;
@@ -64,7 +63,7 @@ TEST(AuditCatalog, ListsEveryRuleExactlyOnce)
         lva::audit::kFaultUnknownSite, lva::audit::kFaultOrphanSite,
         lva::audit::kKnobUndocumented, lva::audit::kKnobStaleDoc,
         lva::audit::kKnobUnvalidated,  lva::audit::kLockCycle,
-        lva::audit::kLockWaitHeld,     lva::audit::kStaleBaseline,
+        lva::audit::kLockWaitHeld,
         lva::audit::kDriverUndocumented, lva::audit::kDriverStaleDoc,
         lva::audit::kHotPathUndocumented, lva::audit::kHotPathStaleDoc,
         lva::lint::kBadAllowFence};
@@ -213,29 +212,17 @@ TEST(AuditSuppression, InlineAllowRemovesTheFinding)
     EXPECT_EQ(findings.size(), 3u);
 }
 
-TEST(AuditBaseline, EntriesSwallowFindingsAndStaleEntriesSurface)
+TEST(AuditLint, LineLocalRulesRunOnEverySource)
 {
-    // Grandfather both knob findings on line 12; leave the stale-doc
-    // row and the fence finding live, and add one entry that matches
-    // nothing — it must surface as stale-baseline.
-    const std::string text =
-        "# comment\n"
-        "knob-unvalidated\tsrc/core/knobs.cc\tLVA_FIX_RAW\n"
-        "knob-undocumented\tsrc/core/knobs.cc\tLVA_FIX_RAW\n"
-        "layer-back-edge\tsrc/util/gone.hh\tsrc/eval/gone.hh\n";
-    Baseline baseline = lva::audit::parseBaseline(
-        "tools/analyze/audit_baseline.txt", text);
-    ASSERT_EQ(baseline.entries.size(), 3u);
-
-    const auto findings =
-        runAudit(fixtureProject("knobs"), &baseline);
+    // runAudit carries each source's lint findings: the three
+    // unsuppressed hazards fire line-exactly, and the wall-clock read
+    // under a `// lva-lint: allow(...)` stays silent.
+    const auto findings = runAudit(fixtureProject("lint"));
     const std::multiset<std::tuple<std::string, int, std::string>>
         expected = {
-            {"README.md", 8, lva::audit::kKnobStaleDoc},
-            {"src/core/fence.cc", 2, lva::lint::kBadAllowFence},
-            // The unmatched grandfather entry, at its baseline line.
-            {"tools/analyze/audit_baseline.txt", 4,
-             lva::audit::kStaleBaseline},
+            {"src/core/hot.cc", 9, lva::lint::kHotPathAlloc},
+            {"src/eval/table.cc", 12, lva::lint::kNoUnorderedIteration},
+            {"src/workloads/noise.cc", 10, lva::lint::kNoRand},
         };
     EXPECT_EQ(hits(findings), expected);
 }

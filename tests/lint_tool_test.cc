@@ -250,7 +250,7 @@ TEST(LintSuppression, FencesNestAndTrackTheirOwnRules)
 
 TEST(LintClean, CleanFixtureAndExitSemantics)
 {
-    // Empty findings <=> the lva_lint binary exits 0 for this file.
+    // Empty findings <=> lva_audit reports no lint finding here.
     EXPECT_TRUE(
         lintSource("src/eval/fixture.cc", readFixture("clean.cc")).empty());
     EXPECT_TRUE(lintSource("src/core/empty.cc", "").empty());

@@ -5,25 +5,18 @@
 #include <map>
 #include <regex>
 #include <set>
+#include <tuple>
 
 namespace lva::audit {
 namespace {
 
-/** A finding plus its baseline key (stable across line churn). */
-struct Hit
-{
-    lint::Finding finding;
-    std::string key;
-};
-
 /**
- * Collector that resolves suppressions and baseline entries at emit
- * time, so individual rule passes stay simple.
+ * Collector that resolves suppressions at emit time, so individual
+ * rule passes stay simple.
  */
 struct Sink
 {
     const Project &project;
-    Baseline *baseline;
     std::vector<lint::Finding> out;
 
     const SourceFile *
@@ -37,19 +30,11 @@ struct Sink
 
     void
     emit(const std::string &file, int line, const char *rule,
-         const std::string &key, std::string message)
+         std::string message)
     {
         if (const SourceFile *src = sourceOf(file))
             if (src->suppressions.allows(line, rule))
                 return;
-        if (baseline) {
-            for (BaselineEntry &e : baseline->entries) {
-                if (e.rule == rule && e.file == file && e.key == key) {
-                    e.used = true;
-                    return;
-                }
-            }
-        }
         out.push_back({file, line, rule, std::move(message)});
     }
 };
@@ -139,13 +124,13 @@ auditDocTable(const Project &project, Sink &sink, const DocTableRule &rule,
                                         diff.undocumented.end());
     for (const CodeName &c : code) {
         if (missing.count(c.name))
-            sink.emit(c.file, c.line, rule.undocumented, c.name,
+            sink.emit(c.file, c.line, rule.undocumented,
                       std::string(rule.what) + " " + c.name +
                           " has no row in the " + rule.marker +
                           " table of " + docPath);
     }
     for (const DocRow &r : diff.stale)
-        sink.emit(docPath, r.line, rule.stale, r.text,
+        sink.emit(docPath, r.line, rule.stale,
                   docPath + " documents " + rule.what + " " + r.text +
                       " but " + rule.codeSide + "; stale documentation");
 }
@@ -182,7 +167,7 @@ auditLayering(const Project &project, Sink &sink)
             const int to = layerOf(inc.resolved);
             if (to > f.layer) {
                 sink.emit(
-                    f.path, inc.line, kLayerBackEdge, inc.resolved,
+                    f.path, inc.line, kLayerBackEdge,
                     std::string("layering back-edge: ") +
                         layerName[f.layer] + " (layer " +
                         std::to_string(f.layer) + ") includes '" +
@@ -199,7 +184,7 @@ auditLayering(const Project &project, Sink &sink)
     // this audit sees them).
     const std::size_t n = project.sources.size();
     std::vector<int> state(n, 0); // 0 new, 1 on stack, 2 done
-    std::vector<std::size_t> stack, path;
+    std::vector<std::size_t> path;
     std::set<std::string> reported;
     for (std::size_t root = 0; root < n; ++root) {
         if (state[root])
@@ -245,7 +230,7 @@ auditLayering(const Project &project, Sink &sink)
                     for (const std::string &m : members)
                         chain += (chain.empty() ? "" : " -> ") + m;
                     chain += " -> " + inc.resolved;
-                    sink.emit(f.path, inc.line, kLayerCycle, key,
+                    sink.emit(f.path, inc.line, kLayerCycle,
                               "include cycle: " + chain);
                 }
             } else if (state[to] == 0) {
@@ -255,7 +240,6 @@ auditLayering(const Project &project, Sink &sink)
             }
         }
     }
-    (void)stack;
 }
 
 // ---------------------------------------------------------------------
@@ -305,7 +289,6 @@ auditStats(const Project &project, Sink &sink)
             }
             if (!matched) {
                 sink.emit(f.path, lit.line, kStatUndocumented,
-                          lit.text,
                           "stat path " +
                               std::string(lit.fragment ? "fragment '"
                                                        : "'") +
@@ -319,7 +302,6 @@ auditStats(const Project &project, Sink &sink)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         if (!rowUsed[i])
             sink.emit(docPath, rows[i].line, kStatStaleDoc,
-                      rows[i].text,
                       "catalog row '" + rows[i].text +
                           "' is backed by no stat registration "
                           "literal in src/; stale documentation");
@@ -386,7 +368,7 @@ auditFaults(const Project &project, Sink &sink)
             continue;
         const std::string spec =
             r.ref->site + (r.ref->prefix ? "*" : "");
-        sink.emit(r.path, r.ref->line, kFaultUnknownSite, spec,
+        sink.emit(r.path, r.ref->line, kFaultUnknownSite,
                   "fault spec arms site '" + spec +
                       "' but no faultPoint() defines it; the "
                       "injection would silently never fire");
@@ -395,7 +377,6 @@ auditFaults(const Project &project, Sink &sink)
         if (d.used)
             continue;
         sink.emit(d.file->path, d.def->line, kFaultOrphanSite,
-                  d.def->site,
                   "fault site '" + d.def->site +
                       (d.def->prefix ? "...'" : "'") +
                       " is defined here but no test, script or doc "
@@ -419,7 +400,7 @@ auditKnobs(const Project &project, Sink &sink)
             if (k.directGetenv &&
                 f.path != "src/util/env_knob.cc") {
                 sink.emit(
-                    f.path, k.line, kKnobUnvalidated, k.name,
+                    f.path, k.line, kKnobUnvalidated,
                     "direct getenv(\"" + k.name +
                         "\") bypasses util/env_knob.hh validation; "
                         "use envKnobU64/envKnobF64, or annotate a "
@@ -455,7 +436,6 @@ auditLocks(const Project &project, Sink &sink)
                           Edge{f.path, e.line});
         for (const CvWait &w : f.cvWaits) {
             sink.emit(f.path, w.line, kLockWaitHeld,
-                      w.waited + "<-" + w.held,
                       "condition_variable wait on " + w.waited +
                           " while still holding " + w.held +
                           "; the notifier can deadlock against this "
@@ -497,7 +477,7 @@ auditLocks(const Project &project, Sink &sink)
                         chain += " -> " + next;
                         const Edge &at =
                             edges.at({path.back(), next});
-                        sink.emit(at.file, at.line, kLockCycle, key,
+                        sink.emit(at.file, at.line, kLockCycle,
                                   "lock-order cycle: " + chain +
                                       "; two threads taking these "
                                       "in opposite order deadlock");
@@ -569,7 +549,7 @@ auditFences(const Project &project, Sink &sink)
         for (const lint::Finding &fence :
              f.suppressions.fenceFindings)
             sink.emit(fence.file, fence.line, lint::kBadAllowFence,
-                      "fence", fence.message);
+                      fence.message);
 }
 
 } // namespace
@@ -625,9 +605,6 @@ auditRuleCatalog()
          "lva-hot-path fence"},
         {lint::kBadAllowFence, "everywhere",
          "unbalanced lva-audit begin-allow/end-allow fences"},
-        {kStaleBaseline, "the baseline file",
-         "every baseline entry must still match a live finding; "
-         "fixed findings must be removed from the baseline"},
     };
     return catalog;
 }
@@ -675,29 +652,10 @@ normalizeIndices(const std::string &path)
     return std::regex_replace(path, re, "$1<N>");
 }
 
-Baseline
-parseBaseline(const std::string &relPath, const std::string &content)
-{
-    Baseline out;
-    out.path = relPath;
-    forEachLine(content, [&](const std::string &text, int line) {
-        if (text.empty() || text[0] == '#')
-            return;
-        const std::size_t t1 = text.find('\t');
-        const std::size_t t2 =
-            t1 == std::string::npos ? t1 : text.find('\t', t1 + 1);
-        if (t2 != std::string::npos)
-            out.entries.push_back({text.substr(0, t1),
-                                   text.substr(t1 + 1, t2 - t1 - 1),
-                                   text.substr(t2 + 1), line, false});
-    });
-    return out;
-}
-
 std::vector<lint::Finding>
-runAudit(const Project &project, Baseline *baseline)
+runAudit(const Project &project)
 {
-    Sink sink{project, baseline, {}};
+    Sink sink{project, {}};
     auditLayering(project, sink);
     auditStats(project, sink);
     auditFaults(project, sink);
@@ -706,25 +664,14 @@ runAudit(const Project &project, Baseline *baseline)
     auditDrivers(project, sink);
     auditHotPaths(project, sink);
     auditFences(project, sink);
-
-    if (baseline) {
-        for (const BaselineEntry &e : baseline->entries) {
-            if (!e.used)
-                sink.out.push_back(
-                    {baseline->path, e.line, kStaleBaseline,
-                     "baseline entry '" + e.rule + "\\t" + e.file +
-                         "\\t" + e.key +
-                         "' matches no live finding; remove it"});
-        }
-    }
+    for (const SourceFile &f : project.sources)
+        sink.out.insert(sink.out.end(), f.lintFindings.begin(),
+                        f.lintFindings.end());
 
     std::sort(sink.out.begin(), sink.out.end(),
               [](const lint::Finding &a, const lint::Finding &b) {
-                  if (a.file != b.file)
-                      return a.file < b.file;
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.rule < b.rule;
+                  return std::tie(a.file, a.line, a.rule, a.message) <
+                         std::tie(b.file, b.line, b.rule, b.message);
               });
     return sink.out;
 }

@@ -27,11 +27,11 @@
  *               must match the docs/reproducing.md and
  *               docs/performance.md tables, both ways
  *
- * Findings reuse lint::Finding and the lva_lint ergonomics: stable
- * rule ids, `// lva-audit: allow(<rule>)` suppressions, and a
- * committed baseline file (rule<TAB>file<TAB>key per line) for
- * grandfathered hits — where stale entries are themselves findings,
- * so the baseline can only shrink.
+ * Findings reuse lint::Finding and the lint ergonomics: stable rule
+ * ids and `// lva-audit: allow(<rule>)` suppressions.  runAudit()
+ * also reports every file's line-local lint findings (DESIGN.md §12,
+ * suppressed with `// lva-lint: allow(<rule>)`), so one pass gates
+ * both rule sets.
  */
 
 #ifndef LVA_TOOLS_ANALYZE_AUDIT_HH
@@ -62,7 +62,6 @@ inline constexpr char kDriverUndocumented[] = "driver-undocumented";
 inline constexpr char kDriverStaleDoc[] = "driver-stale-doc";
 inline constexpr char kHotPathUndocumented[] = "hotpath-undocumented";
 inline constexpr char kHotPathStaleDoc[] = "hotpath-stale-doc";
-inline constexpr char kStaleBaseline[] = "stale-baseline";
 
 /** The audit rule catalog (includes lint's bad-allow-fence). */
 const std::vector<lint::RuleInfo> &auditRuleCatalog();
@@ -97,34 +96,13 @@ TableDiff diffTable(const std::set<std::string> &names,
 /** thread7 / core12 / bank3 -> thread<N> etc. (the catalog's form). */
 std::string normalizeIndices(const std::string &path);
 
-/** One grandfathered finding: rule<TAB>file<TAB>key. */
-struct BaselineEntry
-{
-    std::string rule;
-    std::string file;
-    std::string key;
-    int line = 0;      ///< line in the baseline file
-    bool used = false; ///< matched at least one finding this run
-};
-
-struct Baseline
-{
-    std::string path; ///< repo-relative baseline file path
-    std::vector<BaselineEntry> entries;
-};
-
-/** Parse a baseline file ('#' comments and blank lines ignored). */
-Baseline parseBaseline(const std::string &relPath,
-                       const std::string &content);
-
 /**
- * Run every audit rule over @p project.  Findings suppressed by an
- * in-source `lva-audit: allow()` or matched by @p baseline are
- * dropped; unused baseline entries surface as stale-baseline
- * findings.  Results are sorted by (file, line, rule).
+ * Run every audit rule over @p project and merge in each source's
+ * lint findings.  Audit findings suppressed by an in-source
+ * `lva-audit: allow()` are dropped.  Results are sorted by (file,
+ * line, rule, message).
  */
-std::vector<lint::Finding> runAudit(const Project &project,
-                                    Baseline *baseline = nullptr);
+std::vector<lint::Finding> runAudit(const Project &project);
 
 } // namespace lva::audit
 

@@ -98,23 +98,6 @@ loadProject(const std::string &rootStr, const LoadOptions &opts)
     };
     collect(opts.sourceRoots, /*cpp=*/true);
     collect(opts.textRoots, /*cpp=*/false);
-    for (const std::string &extra : opts.extraSources) {
-        const fs::path abs = fs::absolute(extra);
-        std::error_code ec;
-        if (!fs::is_regular_file(abs, ec) || !isCppSource(abs))
-            continue;
-        const std::string rel = relativize(abs, root);
-        // Only files inside the configured source roots: a compile
-        // database also lists vendored dependencies under build/,
-        // which are not ours to audit.
-        const bool inRoots = std::any_of(
-            opts.sourceRoots.begin(), opts.sourceRoots.end(),
-            [&](const std::string &r) {
-                return rel.rfind(r + "/", 0) == 0;
-            });
-        if (inRoots && !excluded(rel))
-            sources.emplace(rel, abs.string());
-    }
 
     for (const auto &[rel, abs] : sources) {
         bool ok = false;

@@ -31,8 +31,6 @@ struct LoadOptions
     /** Repo-relative path prefixes to drop. */
     std::vector<std::string> excludes = {"tests/lint_fixtures/",
                                          "tests/audit_fixtures/"};
-    /** Extra absolute source files (e.g. from a compdb) to merge in. */
-    std::vector<std::string> extraSources;
 };
 
 struct LoadResult

@@ -639,6 +639,7 @@ parseSource(const std::string &relPath, const std::string &content)
     out.layer = layerOf(relPath);
     out.suppressions =
         lint::parseSuppressions(relPath, content, "lva-audit");
+    out.lintFindings = lint::lintSource(relPath, content);
 
     const std::string kept =
         lint::stripComments(content, /*keepStrings=*/true);

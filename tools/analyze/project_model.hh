@@ -2,23 +2,24 @@
  * @file
  * lva_audit project model: one parsed view of the whole repository.
  *
- * lva_lint (tools/lint) judges files one at a time; every hazard it
- * hunts is visible inside a single translation unit.  The properties
- * that actually rot in this repo are *cross-file*: an eval header
- * leaking into src/mem, a stat path registered in C++ but missing
- * from docs/metrics.md, a fault site named in a CI script that no
- * faultPoint() call defines anymore, a getenv("LVA_*") knob that
- * bypasses util/env_knob.hh validation, or two mutexes acquired in
- * opposite orders by two different TUs.  Catching those needs one
+ * The line-local lint rules (tools/lint) judge files one at a time;
+ * every hazard they hunt is visible inside a single translation unit.
+ * The properties that actually rot in this repo are *cross-file*: an
+ * eval header leaking into src/mem, a stat path registered in C++ but
+ * missing from docs/metrics.md, a fault site named in a CI script
+ * that no faultPoint() call defines anymore, a getenv("LVA_*") knob
+ * that bypasses util/env_knob.hh validation, or two mutexes acquired
+ * in opposite orders by two different TUs.  Catching those needs one
  * model of the whole project, not a per-file scan.
  *
- * This header defines that model.  parseSource() lexes one file with
- * the same comment/string-stripping machinery lva_lint uses
- * (lint::stripComments) and extracts the five registries the audit
+ * This header defines that model.  parseSource() runs the lint rules
+ * over one file (lint::lintSource, keeping its findings) and lexes it
+ * with the same comment/string-stripping machinery
+ * (lint::stripComments) to extract the five registries the audit
  * rules consume:
  *
  *   - quoted #include directives (resolved to repo-relative paths by
- *     buildModel, which also assigns layer numbers),
+ *     finalizeModel),
  *   - StatRegistry path literals (counter/gauge/histogram first
  *     arguments, joinPath leaves, `prefix + ".leaf"` concatenations,
  *     and EvalMetricDef initializer tables),
@@ -32,9 +33,9 @@
  *     distinct.
  *
  * It also records where a file's first lva-hot-path fence opens,
- * found by lva_lint's own fence parser (lint::hotPathFenceLines).
+ * found by the lint rules' own fence parser (lint::hotPathFenceLines).
  *
- * Suppressions use the lva_lint grammar under the "lva-audit" tag:
+ * Suppressions use the lint grammar under the "lva-audit" tag:
  * `// lva-audit: allow(<rule>)` on or above the line, or
  * begin-allow/end-allow fences.  The analyses themselves live in
  * audit.hh.
@@ -127,6 +128,8 @@ struct SourceFile
     /** Line of the first lva-hot-path begin marker; 0 = unfenced. */
     int hotPathLine = 0;
     lint::Suppressions suppressions; ///< tag "lva-audit"
+    /** lint::lintSource() findings, already filtered by "lva-lint". */
+    std::vector<lint::Finding> lintFindings;
 };
 
 /** A non-C++ input (script, workflow, doc) scanned for references. */
@@ -153,7 +156,10 @@ struct Project
  */
 int layerOf(const std::string &path);
 
-/** Parse one C++ file into its extracted registries. */
+/**
+ * Parse one C++ file into its extracted registries, and run the
+ * line-local lint rules over it.
+ */
 SourceFile parseSource(const std::string &relPath,
                        const std::string &content);
 
