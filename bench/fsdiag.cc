@@ -70,9 +70,7 @@ main(int argc, char **argv)
     // fsdiag's only arguments are workload names, so the robustness
     // knobs — and the machine, via LVA_MACHINE — arrive through the
     // environment only.
-    SweepOptions opts;
-    opts.driver = "fsdiag";
-    opts = resolveSweepOptions(opts);
+    const SweepOptions opts = sweepOptionsFromEnv("fsdiag");
     SweepRunner runner;
     const auto outcome = runner.mapChecked(
         names.size(),

@@ -11,6 +11,22 @@
 namespace lva {
 namespace {
 
+/**
+ * One failure as the compact JSON object a shard record carries. Its
+ * "timedOut" member is always false; it is kept so the lva-rpc-v1
+ * schema holds.
+ */
+std::string
+encodePointFailure(const PointFailure &f)
+{
+    return "{\"index\":" + std::to_string(f.index) +
+           ",\"label\":" + jsonQuote(f.label) +
+           ",\"workload\":" + jsonQuote(f.workload) +
+           ",\"error\":" + jsonQuote(f.error) +
+           ",\"attempts\":" + std::to_string(f.attempts) +
+           ",\"timedOut\":false}";
+}
+
 PointFailure
 decodePointFailure(const JsonValue &v)
 {
@@ -153,30 +169,13 @@ shardRecordFromResponse(const JsonValue &response, u32 shard,
     if (response.at("shard").asU64() != shard)
         throw std::runtime_error("worker answered the wrong shard");
 
-    ShardRecord record;
-    record.shard = shard;
-    const JsonValue &results = response.at("results");
-    if (!results.isArray() || results.items.size() != pointCount)
+    ShardRecord record = decodeShardRecord(response.at("record"));
+    if (record.shard != shard)
+        throw std::runtime_error("worker record names the wrong shard");
+    if (record.results.size() != pointCount)
         throw std::runtime_error(
-            "worker response: 'results' does not match the shard's "
+            "worker response: the record does not match the shard's "
             "point count");
-    record.results.reserve(pointCount);
-    for (const JsonValue &item : results.items) {
-        record.results.push_back(item.type == JsonValue::Type::Null
-                                     ? failedPointPlaceholder()
-                                     : decodeEvalResult(item));
-    }
-    const JsonValue &failures = response.at("failureDetail");
-    if (!failures.isArray())
-        throw std::runtime_error(
-            "worker response: 'failureDetail' is not an array");
-    for (const JsonValue &item : failures.items) {
-        PointFailure f = decodePointFailure(item);
-        if (f.index >= pointCount)
-            throw std::runtime_error(
-                "worker response: failure index out of range");
-        record.failures.push_back(std::move(f));
-    }
     return record;
 }
 

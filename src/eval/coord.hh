@@ -106,11 +106,11 @@ std::string encodeShardRecord(const ShardRecord &record);
 ShardRecord decodeShardRecord(const JsonValue &payload);
 
 /**
- * Build a ShardRecord from a worker's detailed sweep response
- * (request member "detail": true): the "results" array maps
- * one-to-one onto the shard's points (null = failed), and
- * "failureDetail" carries the shard-local failures. Throws
- * std::runtime_error on a malformed or failed response.
+ * The ShardRecord of a worker's detailed sweep response (request
+ * member "detail": true): the response must be an ok `sweep` reply
+ * echoing shard @p shard, and its "record" member — the
+ * encodeShardRecord() object — must hold @p pointCount results.
+ * Throws std::runtime_error on a malformed or failed response.
  */
 ShardRecord shardRecordFromResponse(const JsonValue &response,
                                     u32 shard,

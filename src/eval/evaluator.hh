@@ -127,7 +127,7 @@ double scaleFromEnv();
  *
  * The memoization is a real cache with a lifecycle, not an unbounded
  * map: setGoldenCacheCapacity() bounds resident entries (the daemon
- * wires LVA_SERVE_CACHE here), eviction is cost-aware LRU
+ * wires --cache here), eviction is cost-aware LRU
  * (goldenEvictionVictim), and builds are *single-flight* — concurrent
  * callers needing the same (workload, seed) block on the one caller
  * performing the precise run instead of duplicating it. Because every

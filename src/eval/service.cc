@@ -1,11 +1,11 @@
 #include "eval/service.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "eval/coord.hh"
 #include "sim/machine_config.hh"
 #include "util/checkpoint.hh"
 #include "util/env_knob.hh"
@@ -153,39 +153,6 @@ fleetShard(const std::string &key, u32 shards)
         }
     }
     return best;
-}
-
-ServeOptions
-resolveServeOptions(ServeOptions opts)
-{
-    // All knobs go through the strict util/env_knob.hh parse: junk,
-    // signs, and out-of-range values warn and fall back instead of
-    // being coerced (DESIGN.md section 17).
-    if (opts.port == 0)
-        opts.port = static_cast<u16>(
-            envKnobU64("LVA_SERVE_PORT", 0, 0, 65535));
-    if (opts.workers == 0)
-        opts.workers = static_cast<u32>(
-            envKnobU64("LVA_SERVE_WORKERS", 0, 1, 256));
-    if (opts.workers == 0)
-        opts.workers = 2;
-    if (opts.queueCap == 0)
-        opts.queueCap = static_cast<u32>(
-            envKnobU64("LVA_SERVE_QUEUE", 0, 1, 1000000));
-    if (opts.queueCap == 0)
-        opts.queueCap = 16;
-    if (opts.deadlineMs == 0)
-        opts.deadlineMs =
-            envKnobU64("LVA_SERVE_DEADLINE_MS", 0, 1, 86400000);
-    if (opts.deadlineMs == 0)
-        opts.deadlineMs = 10000;
-    if (opts.maxAttempts == 0)
-        opts.maxAttempts = 1 + static_cast<u32>(
-                                   envKnobU64("LVA_SERVE_RETRIES", 0,
-                                              0, 99));
-    if (opts.cacheCap == 0)
-        opts.cacheCap = envKnobU64("LVA_SERVE_CACHE", 0, 0, 1000000);
-    return opts;
 }
 
 bool
@@ -424,20 +391,13 @@ sweepPointsFromJson(const JsonValue &points,
 }
 
 EvalService::EvalService(u32 seeds, double scale,
-                         const ServeOptions &opts)
+                         const ServeOptions &opts, u32 pointAttempts)
     : eval_(seeds, scale), runner_(eval_, opts.jobs),
-      maxAttempts_(resolveServeOptions(opts).maxAttempts)
+      maxAttempts_(opts.maxAttempts), pointAttempts_(pointAttempts)
 {
-    // The batch checkpoint knobs make no sense per request (a daemon
-    // has no single manifest identity, and resuming someone else's
-    // manifest mid-service would return stale results), so the
-    // service drops them before any request can resolve SweepOptions.
-    // Runs before the serve loop spawns threads, so the unsetenv is
-    // race-free.
-    ::unsetenv("LVA_CHECKPOINT");
-    ::unsetenv("LVA_RESUME");
-
-    eval_.setGoldenCacheCapacity(resolveServeOptions(opts).cacheCap);
+    lva_assert(maxAttempts_ >= 1 && pointAttempts_ >= 1,
+               "EvalService: attempts must be at least 1");
+    eval_.setGoldenCacheCapacity(opts.cacheCap);
 }
 
 std::string
@@ -604,39 +564,32 @@ EvalService::handleSweep(const JsonValue &req)
     if (points.empty())
         throw std::runtime_error("sweep: no points");
 
+    // No checkpoint or resume: resuming someone else's manifest
+    // mid-service would return stale results.
     SweepOptions opts;
     opts.driver = driver;
-    const SweepOutcome outcome = runner_.runChecked(points, opts);
+    opts.maxAttempts = pointAttempts_;
+    SweepOutcome outcome = runner_.runChecked(points, opts);
 
     std::string out = sweepSummary(driver, points.size(), outcome);
     // A shard-scoped request ("shard": n) is echoed back so the
     // sharding frontend can verify the response matches its scatter.
-    if (const JsonValue *shard = req.find("shard"))
+    const JsonValue *shard = req.find("shard");
+    if (shard != nullptr)
         out += ",\"shard\":" + std::to_string(shard->asU64());
 
     const JsonValue *detail = req.find("detail");
     if (detail != nullptr && detail->type == JsonValue::Type::Bool &&
         detail->boolean) {
-        // Detailed response (a sharded sweep's gather): per-point
-        // encoded results (null = failed) plus structured failures,
-        // instead of the rendered shard-local export — lva_fleet
-        // merges the shards and renders the export itself.
-        out += ",\"results\":[";
-        for (std::size_t i = 0; i < outcome.results.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += outcome.results[i].failed
-                       ? "null"
-                       : encodeEvalResult(outcome.results[i]);
-        }
-        out += "],\"failureDetail\":[";
-        for (std::size_t i = 0; i < outcome.failures.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += encodePointFailure(outcome.failures[i]);
-        }
-        out += "]}";
-        return out;
+        // Detailed response (a sharded sweep's gather): the shard's
+        // journal record instead of the rendered shard-local export —
+        // lva_fleet merges the shards and renders the export itself.
+        ShardRecord record;
+        record.shard =
+            shard != nullptr ? static_cast<u32>(shard->asU64()) : 0;
+        record.results = std::move(outcome.results);
+        record.failures = std::move(outcome.failures);
+        return out + ",\"record\":" + encodeShardRecord(record) + "}";
     }
 
     return out + exportMember(driver, points, outcome);
@@ -652,9 +605,12 @@ sweepResponse(const std::string &driver,
 }
 
 ServeLoop::ServeLoop(EvalService &service, const ServeOptions &opts)
-    : service_(service), opts_(resolveServeOptions(opts)),
-      listener_(opts_.port)
+    : service_(service), opts_(opts), listener_(opts_.port)
 {
+    lva_assert(opts_.workers >= 1 && opts_.queueCap >= 1 &&
+                   opts_.deadlineMs >= 1,
+               "ServeLoop: workers, queueCap and deadlineMs must be "
+               "at least 1");
 }
 
 ServeLoop::~ServeLoop()

@@ -90,44 +90,39 @@ std::string fleetRouteKey(const std::string &requestJson);
 u32 fleetShard(const std::string &key, u32 shards);
 
 /**
- * Serving policy. Field defaults of 0 defer to the LVA_SERVE_* knobs
- * noted below, then to the built-in defaults; an explicit nonzero
- * field always wins (same convention as SweepOptions).
+ * Serving policy: a plain value, used as given. The daemon tools fill
+ * it from their flags only; the defaults below are the flags'.
  */
 struct ServeOptions
 {
-    /** TCP port on 127.0.0.1 (LVA_SERVE_PORT; 0 = ephemeral). */
+    /** TCP port on 127.0.0.1 (0 = ephemeral). */
     u16 port = 0;
 
-    /** Connection-handler threads (LVA_SERVE_WORKERS; default 2). */
-    u32 workers = 0;
+    /** Connection-handler threads, >= 1. */
+    u32 workers = 2;
 
     /** Accepted connections allowed to wait for a handler before new
-     *  ones are refused with `busy` (LVA_SERVE_QUEUE; default 16). */
-    u32 queueCap = 0;
+     *  ones are refused with `busy`, >= 1. */
+    u32 queueCap = 16;
 
     /** Per-connection deadline in ms for receiving one complete
-     *  request frame (LVA_SERVE_DEADLINE_MS; default 10000). Applies
-     *  to the wire, not to evaluation time. */
-    u64 deadlineMs = 0;
+     *  request frame, >= 1. Applies to the wire, not to evaluation
+     *  time. */
+    u64 deadlineMs = 10000;
 
-    /** Attempts per request, >= 1 (LVA_SERVE_RETRIES=<n> means 1+n
-     *  attempts; default 1). Distinct from LVA_RETRIES, which the
-     *  sweep engine applies per *point* inside the request. */
-    u32 maxAttempts = 0;
+    /** Attempts per request, >= 1 (--retries N means 1+N attempts).
+     *  Distinct from LVA_RETRIES, which the sweep engine applies per
+     *  *point* inside the request. */
+    u32 maxAttempts = 1;
 
     /** Sweep-pool worker threads (0 = LVA_JOBS, then hardware).
      *  Exports are byte-identical for any value. */
     u32 jobs = 0;
 
-    /** Golden-cache capacity in entries (LVA_SERVE_CACHE; 0 = the
-     *  knob, and an unset knob means unbounded). Exports are
+    /** Golden-cache capacity in entries (0 = unbounded). Exports are
      *  byte-identical for any capacity — see docs/serving.md. */
     u64 cacheCap = 0;
 };
-
-/** Resolve @p opts against the LVA_SERVE_* knobs and defaults. */
-ServeOptions resolveServeOptions(ServeOptions opts);
 
 /** lva_served's command-line settings: the serving options plus the
  *  evaluator's seeds and scale (0 = LVA_SEEDS / LVA_SCALE). */
@@ -141,8 +136,8 @@ struct ServeFlags
 /**
  * Apply lva_served's numeric flag @p flag with operand @p text to
  * @p out; false when @p flag is not one of them. Each operand must lie
- * in the range its LVA_* knob enforces (--port 0..65535, --workers
- * 1..256, ...); anything else exits 2 (flagU64 in util/env_knob.hh).
+ * in its flag's range (--port 0..65535, --workers 1..256, ...);
+ * anything else exits 2 (flagU64 in util/env_knob.hh).
  * lva_fleet checks the flags it forwards to its workers here too.
  */
 bool applyServeFlag(const std::string &flag, const char *text,
@@ -241,9 +236,13 @@ class EvalService
     /**
      * @param seeds / @p scale evaluator parameters (0 = LVA_SEEDS /
      *        LVA_SCALE, as everywhere else)
-     * @param opts serving policy (resolved against the environment)
+     * @param opts serving policy
+     * @param pointAttempts attempts per sweep point, >= 1 (lva_served
+     *        passes 1 + LVA_RETRIES). Served sweeps never checkpoint:
+     *        a daemon has no single manifest identity.
      */
-    EvalService(u32 seeds, double scale, const ServeOptions &opts);
+    EvalService(u32 seeds, double scale, const ServeOptions &opts,
+                u32 pointAttempts = 1);
 
     Evaluator &evaluator() { return eval_; }
     u32 jobs() const { return runner_.jobs(); }
@@ -271,6 +270,7 @@ class EvalService
     SweepRunner runner_;
     ServeStats stats_;
     u32 maxAttempts_;
+    u32 pointAttempts_;
     std::atomic<u64> nextRequest_{0};
     std::atomic<bool> shutdown_{false};
 };

@@ -114,26 +114,9 @@ failedPointPlaceholder()
 }
 
 SweepOptions
-resolveSweepOptions(SweepOptions opts)
+sweepOptionsFromEnv(const std::string &driver)
 {
-    if (!opts.checkpoint && envFlag("LVA_CHECKPOINT"))
-        opts.checkpoint = true;
-    if (!opts.resume && envFlag("LVA_RESUME"))
-        opts.resume = true;
-    if (opts.resume) // resuming without recording would lose progress
-        opts.checkpoint = true;
-    if (opts.maxAttempts == 0) {
-        const u64 retries = envKnobU64("LVA_RETRIES", 0, 0, 99);
-        opts.maxAttempts = static_cast<u32>(retries) + 1;
-    }
-    if (!opts.machine) {
-        // String-valued config path; validated by the parser it feeds.
-        // lva-audit: allow(knob-unvalidated)
-        const char *path = std::getenv("LVA_MACHINE");
-        if (path != nullptr && *path != '\0')
-            opts.machine = loadMachineOrDie(path);
-    }
-    return opts;
+    return sweepOptionsFromCli(driver, 0, nullptr);
 }
 
 SweepOptions
@@ -141,6 +124,13 @@ sweepOptionsFromCli(const std::string &driver, int argc, char **argv)
 {
     SweepOptions opts;
     opts.driver = driver;
+    opts.checkpoint = envFlag("LVA_CHECKPOINT");
+    opts.resume = envFlag("LVA_RESUME");
+    opts.maxAttempts =
+        static_cast<u32>(envKnobU64("LVA_RETRIES", 0, 0, 99)) + 1;
+    // String-valued config path; validated by the parser it feeds.
+    // lva-audit: allow(knob-unvalidated)
+    const char *machine = std::getenv("LVA_MACHINE");
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto operand = [&]() -> const char * {
@@ -178,7 +168,10 @@ sweepOptionsFromCli(const std::string &driver, int argc, char **argv)
             std::exit(2);
         }
     }
-    return resolveSweepOptions(opts);
+    // The knob's file is parsed only when no --machine replaced it.
+    if (!opts.machine && machine != nullptr && *machine != '\0')
+        opts.machine = loadMachineOrDie(machine);
+    return opts;
 }
 
 const MachineConfig &
@@ -354,8 +347,10 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
     lva_assert(eval_ != nullptr,
                "SweepRunner::runChecked needs an Evaluator; use the "
                "Evaluator constructor");
-    SweepOptions eff = resolveSweepOptions(opts);
-    if ((eff.checkpoint || eff.resume) && eff.driver.empty()) {
+    SweepOptions eff = opts;
+    if (eff.resume) // resuming without recording would lose progress
+        eff.checkpoint = true;
+    if (eff.checkpoint && eff.driver.empty()) {
         lva_warn("sweep: checkpoint/resume requested without a driver "
                  "name; disabled");
         eff.checkpoint = eff.resume = false;
@@ -461,17 +456,6 @@ SweepRunner::runChecked(const std::vector<SweepPoint> &points,
         }
     });
     return out;
-}
-
-std::string
-encodePointFailure(const PointFailure &f)
-{
-    return "{\"index\":" + std::to_string(f.index) +
-           ",\"label\":" + jsonQuote(f.label) +
-           ",\"workload\":" + jsonQuote(f.workload) +
-           ",\"error\":" + jsonQuote(f.error) +
-           ",\"attempts\":" + std::to_string(f.attempts) +
-           ",\"timedOut\":false}";
 }
 
 std::string

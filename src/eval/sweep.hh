@@ -61,9 +61,9 @@ struct PointFailure
 };
 
 /**
- * Execution policy for a checked sweep. Field defaults of 0/false
- * defer to the environment knobs noted below; the environment never
- * overrides an explicit nonzero field.
+ * Execution policy for a checked sweep: a plain value, used as
+ * given. A binary fills it once where it starts (sweepOptionsFromEnv
+ * or sweepOptionsFromCli); the sweep engine reads no environment.
  */
 struct SweepOptions
 {
@@ -78,9 +78,9 @@ struct SweepOptions
     bool resume = false;
 
     /** Attempts per point, >= 1 (LVA_RETRIES=<n> means 1+n attempts;
-     *  default 1: deterministic simulations only transiently fail
-     *  under fault injection or resource exhaustion). */
-    u32 maxAttempts = 0;
+     *  deterministic simulations only transiently fail under fault
+     *  injection or resource exhaustion). */
+    u32 maxAttempts = 1;
 
     /**
      * Machine topology the sweep runs on (--machine <file>, else the
@@ -123,15 +123,17 @@ struct MapOutcome
 };
 
 /**
- * Resolve SweepOptions against the environment knobs and defaults
- * (LVA_CHECKPOINT, LVA_RESUME, LVA_RETRIES, LVA_MACHINE).
+ * The defaults overlaid with the run-wide sweep knobs (LVA_CHECKPOINT,
+ * LVA_RESUME, LVA_RETRIES, LVA_MACHINE) for driver @p driver. Read
+ * once where a binary starts; a machine file that does not parse
+ * exits(2).
  */
-SweepOptions resolveSweepOptions(SweepOptions opts);
+SweepOptions sweepOptionsFromEnv(const std::string &driver);
 
 /**
  * The standard robustness CLI shared by every sweep-driving bench
- * binary: --checkpoint, --resume, --retries N (0..99), --machine FILE
- * (plus the environment knobs, which explicit flags override).
+ * binary: the defaults, then the environment knobs, then the flags
+ * --checkpoint, --resume, --retries N (0..99), --machine FILE.
  * Unknown arguments and malformed or out-of-range operands exit(2).
  */
 SweepOptions sweepOptionsFromCli(const std::string &driver, int argc,
@@ -230,8 +232,8 @@ class SweepRunner
 
     /**
      * Evaluate every point with per-point isolation, bounded retry
-     * and (per @p opts) checkpoint/resume via the manifest at
-     * "<resultsDir>/checkpoints/<driver>.jsonl". Deterministic for
+     * and (per @p opts, as given) checkpoint/resume via the manifest
+     * at "<resultsDir>/checkpoints/<driver>.jsonl". Deterministic for
      * any LVA_JOBS.
      *
      * On the pool path with an unbounded golden cache, one golden
@@ -284,18 +286,17 @@ class SweepRunner
         -> MapOutcome<std::invoke_result_t<Fn, u64>>
     {
         using R = std::invoke_result_t<Fn, u64>;
-        const SweepOptions eff = resolveSweepOptions(opts);
-        if (eff.resume)
+        if (opts.resume)
             lva_warn("%s: resume applies to point sweeps only; "
                      "re-running every task",
-                     eff.driver.empty() ? "sweep" : eff.driver.c_str());
+                     opts.driver.empty() ? "sweep" : opts.driver.c_str());
 
         MapOutcome<R> out;
         out.results.resize(count);
         collect(
             allIndices(count),
             [&](u64 i) {
-                return attemptTask<R>(eff, i, [&fn, i] { return fn(i); });
+                return attemptTask<R>(opts, i, [&fn, i] { return fn(i); });
             },
             [&](u64 i, Tried<R> &&tried) {
                 if (tried.failure) {
@@ -379,6 +380,8 @@ class SweepRunner
     static Tried<R>
     attemptTask(const SweepOptions &opts, u64 index, Task task)
     {
+        lva_assert(opts.maxAttempts >= 1,
+                   "sweep: maxAttempts must be at least 1");
         Tried<R> out;
         const std::string site =
             "sweep.point." + std::to_string(index);
@@ -418,13 +421,6 @@ class SweepRunner
  */
 std::string encodeEvalResult(const EvalResult &result);
 EvalResult decodeEvalResult(const JsonValue &payload);
-
-/**
- * One failure as the compact JSON object a sweep's "failureDetail"
- * and the shard journal carry. Its "timedOut" member is always false;
- * it is kept so the lva-rpc-v1 schema holds.
- */
-std::string encodePointFailure(const PointFailure &f);
 
 /**
  * Render the versioned stats export for a completed sweep as a byte

@@ -4,8 +4,8 @@
  * command-line operands.
  *
  * Every numeric knob used to hand-roll its own getenv + strtol (or
- * worse, atoi), so "LVA_FLEET_SIZE=2x" silently became 2 and
- * "LVA_SERVE_QUEUE=-1" wrapped to a huge queue.  These helpers give
+ * worse, atoi), so a value like "2x" silently became 2 and "-1"
+ * wrapped to a huge unsigned.  These helpers give
  * all knobs the discipline PR 4 gave LVA_JOBS: a strict decimal (or
  * decimal-float) parse that rejects trailing junk, signs and
  * out-of-range values with a warning, falling back to the documented

@@ -1,14 +1,14 @@
 /**
  * @file
  * Rejection tests for the shared strict env-knob parse
- * (util/env_knob.hh) and its resolveServeOptions consumers.  Each
+ * (util/env_knob.hh) and the serve flags built on it.  Each
  * malformed value must warn and fall back to the documented default
  * — never be silently coerced the way the old atoi/strtol readers
  * coerced "2x" to 2 or wrapped "-1" to a huge unsigned.
  *
- * The knob names used below are the production ones (LVA_FLEET_SIZE,
- * LVA_SERVE_CACHE, LVA_SERVE_QUEUE, LVA_CLIENT_BUSY_RETRIES) so the
- * exact knob/range pairs the binaries pass are what gets exercised.
+ * LVA_CLIENT_BUSY_RETRIES is exercised with the range lva_client
+ * passes; the other cases use the test-local names LVA_FIX_U and
+ * LVA_FIX_F, which no binary reads.
  */
 
 #include <cstdlib>
@@ -39,23 +39,23 @@ class ScopedEnv
 
 TEST(EnvKnobU64, UnsetAndEmptyReturnFallbackSilently)
 {
-    ::unsetenv("LVA_FLEET_SIZE");
-    EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
-    ScopedEnv env("LVA_FLEET_SIZE", "");
-    EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
+    ::unsetenv("LVA_FIX_U");
+    EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
+    ScopedEnv env("LVA_FIX_U", "");
+    EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
 }
 
 TEST(EnvKnobU64, PureDecimalInRangeIsAccepted)
 {
-    ScopedEnv env("LVA_FLEET_SIZE", "8");
-    EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 8u);
+    ScopedEnv env("LVA_FIX_U", "8");
+    EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 8u);
 }
 
 TEST(EnvKnobU64, TrailingJunkIsRejectedNotTruncated)
 {
     // The pre-PR-8 reader turned "2x" into 2.
-    ScopedEnv env("LVA_FLEET_SIZE", "2x");
-    EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
+    ScopedEnv env("LVA_FIX_U", "2x");
+    EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
 }
 
 TEST(EnvKnobU64, SignsAreRejectedNotWrapped)
@@ -76,33 +76,33 @@ TEST(EnvKnobU64, SignsAreRejectedNotWrapped)
 TEST(EnvKnobU64, HexWhitespaceAndWordsAreRejected)
 {
     {
-        ScopedEnv env("LVA_SERVE_CACHE", "0x10");
-        EXPECT_EQ(envKnobU64("LVA_SERVE_CACHE", 0, 0, 1000000), 0u);
+        ScopedEnv env("LVA_FIX_U", "0x10");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 0, 0, 1000000), 0u);
     }
     {
-        ScopedEnv env("LVA_SERVE_CACHE", " 7");
-        EXPECT_EQ(envKnobU64("LVA_SERVE_CACHE", 0, 0, 1000000), 0u);
+        ScopedEnv env("LVA_FIX_U", " 7");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 0, 0, 1000000), 0u);
     }
     {
-        ScopedEnv env("LVA_SERVE_CACHE", "unbounded");
-        EXPECT_EQ(envKnobU64("LVA_SERVE_CACHE", 0, 0, 1000000), 0u);
+        ScopedEnv env("LVA_FIX_U", "unbounded");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 0, 0, 1000000), 0u);
     }
 }
 
 TEST(EnvKnobU64, OutOfRangeFallsBackInsteadOfClamping)
 {
     {
-        ScopedEnv env("LVA_FLEET_SIZE", "65");
-        EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
+        ScopedEnv env("LVA_FIX_U", "65");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
     }
     {
-        ScopedEnv env("LVA_FLEET_SIZE", "0");
-        EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
+        ScopedEnv env("LVA_FIX_U", "0");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
     }
     {
         // Past 2^64: strtoull saturates with ERANGE; still rejected.
-        ScopedEnv env("LVA_FLEET_SIZE", "99999999999999999999999");
-        EXPECT_EQ(envKnobU64("LVA_FLEET_SIZE", 4, 1, 64), 4u);
+        ScopedEnv env("LVA_FIX_U", "99999999999999999999999");
+        EXPECT_EQ(envKnobU64("LVA_FIX_U", 4, 1, 64), 4u);
     }
 }
 
@@ -152,6 +152,9 @@ TEST(FlagF64, FiniteInRangeOnly)
 TEST(ServeFlags, NumericFlagsUseTheirKnobRanges)
 {
     lva::ServeFlags flags;
+    // The documented defaults, which no environment changes.
+    EXPECT_EQ(flags.serve.queueCap, 16u);
+    EXPECT_EQ(flags.serve.cacheCap, 0u); // unbounded
     EXPECT_TRUE(lva::applyServeFlag("--workers", "4", flags));
     EXPECT_TRUE(lva::applyServeFlag("--retries", "2", flags));
     EXPECT_TRUE(lva::applyServeFlag("--seeds", "3", flags));
@@ -163,32 +166,6 @@ TEST(ServeFlags, NumericFlagsUseTheirKnobRanges)
                 ::testing::ExitedWithCode(2), "--port");
     EXPECT_EXIT(lva::applyServeFlag("--workers", "0", flags),
                 ::testing::ExitedWithCode(2), "--workers");
-}
-
-TEST(ServeOptions, MalformedQueueAndCacheKnobsFallBackToDefaults)
-{
-    ScopedEnv queue("LVA_SERVE_QUEUE", "-1");
-    ScopedEnv cache("LVA_SERVE_CACHE", "lots");
-    const lva::ServeOptions opts =
-        lva::resolveServeOptions(lva::ServeOptions{});
-    EXPECT_EQ(opts.queueCap, 16u);  // documented default
-    EXPECT_EQ(opts.cacheCap, 0u);   // unbounded default
-}
-
-TEST(ServeOptions, ValidKnobsResolveAndExplicitFieldsWin)
-{
-    ScopedEnv queue("LVA_SERVE_QUEUE", "32");
-    ScopedEnv cache("LVA_SERVE_CACHE", "128");
-    lva::ServeOptions opts = lva::resolveServeOptions(lva::ServeOptions{});
-    EXPECT_EQ(opts.queueCap, 32u);
-    EXPECT_EQ(opts.cacheCap, 128u);
-
-    lva::ServeOptions forced;
-    forced.queueCap = 3;
-    forced.cacheCap = 9;
-    opts = lva::resolveServeOptions(forced);
-    EXPECT_EQ(opts.queueCap, 3u);
-    EXPECT_EQ(opts.cacheCap, 9u);
 }
 
 } // namespace

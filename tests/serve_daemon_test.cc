@@ -21,12 +21,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "util/net.hh"
+#include "util/checkpoint.hh"
 
 namespace lva {
 namespace {
@@ -80,10 +83,22 @@ class ServeDaemonTest : public ::testing::Test
         fs::remove_all(dir_);
     }
 
-    /** Fork+exec the daemon; stdout/stderr land in log_. */
+    /**
+     * Fork+exec the daemon with @p extraArgs after "--port 0
+     * --workers 2" and each "NAME=value" of @p env set; stdout/stderr
+     * land in log_.
+     */
     void
-    startDaemon(const std::string &fault = "")
+    startDaemon(const std::string &fault = "",
+                const std::vector<std::string> &extraArgs = {},
+                const std::vector<std::string> &env = {})
     {
+        std::vector<const char *> argv = {"lva_served", "--port", "0",
+                                          "--workers", "2"};
+        for (const std::string &a : extraArgs)
+            argv.push_back(a.c_str());
+        argv.push_back(nullptr);
+        fs::remove(log_); // waitForPort must not read a previous run's
         pid_ = fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
@@ -97,8 +112,9 @@ class ServeDaemonTest : public ::testing::Test
             setenv("LVA_JOBS", "1", 1);
             if (!fault.empty())
                 setenv("LVA_FAULT", fault.c_str(), 1);
-            execl(LVA_SERVED_BINARY, "lva_served", "--port", "0",
-                  "--workers", "2", static_cast<char *>(nullptr));
+            for (const std::string &kv : env)
+                putenv(const_cast<char *>(kv.c_str()));
+            execv(LVA_SERVED_BINARY, const_cast<char *const *>(argv.data()));
             _exit(127); // exec failed
         }
         port_ = waitForPort();
@@ -208,6 +224,53 @@ TEST_F(ServeDaemonTest, ClientUsageErrorsExitTwo)
     EXPECT_EQ(client("eval"), 2); // --workload is required
     kill(pid_, SIGTERM);
     EXPECT_EQ(reap(), 0);
+}
+
+TEST_F(ServeDaemonTest, ExplicitZeroFlagsBeatStaleServeEnvironment)
+{
+    // The daemon takes its options from flags only: an environment
+    // that once meant "port 47123, cache 5" must not override an
+    // explicit --port 0 (ephemeral) or --cache 0 (unbounded).
+    TcpListener held(0);
+    startDaemon("", {"--cache", "0"},
+                {"LVA_SERVE_PORT=" + std::to_string(held.port()),
+                 "LVA_SERVE_CACHE=5"});
+    EXPECT_NE(port_, held.port());
+    const fs::path out = dir_ / "stats.json";
+    ASSERT_EQ(runCommand(std::string("'") + LVA_CLIENT_BINARY +
+                         "' --port " + std::to_string(port_) +
+                         " stats > '" + out.string() + "'"),
+              0);
+    const JsonValue stats = parseJson(slurp(out));
+    EXPECT_EQ(stats.at("serve").at("serve.cache.capacity").at("value")
+                  .asDouble(),
+              0.0);
+    kill(pid_, SIGTERM);
+    EXPECT_EQ(reap(), 0) << slurp(log_);
+}
+
+TEST_F(ServeDaemonTest, LvaRetriesRetriesEachServedPoint)
+{
+    // lva_served reads LVA_RETRIES once at start and gives every
+    // sweep point 1 + LVA_RETRIES attempts: a first-attempt fault in
+    // point 0 is recovered (exit 0) with it and fails (exit 3)
+    // without it.
+    const fs::path points = dir_ / "points.json";
+    std::ofstream(points) << "[{\"label\":\"lva\","
+                             "\"workload\":\"canneal\"}]";
+    const std::string sweep =
+        "sweep --driver retry_test --points '" + points.string() +
+        "' --out '" + (dir_ / "export.json").string() + "'";
+    for (const auto &[retries, expected] :
+         {std::pair<const char *, int>{"0", 3}, {"1", 0}}) {
+        startDaemon("sweep.point.0=throw@first1", {},
+                    {std::string("LVA_RETRIES=") + retries});
+        EXPECT_EQ(client(sweep), expected)
+            << "LVA_RETRIES=" << retries << "\n"
+            << slurp(dir_ / "client.log");
+        kill(pid_, SIGTERM);
+        EXPECT_EQ(reap(), 0) << slurp(log_);
+    }
 }
 
 /**

@@ -14,10 +14,14 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "eval/service.hh"
 #include "sim/machine_config.hh"
@@ -486,42 +490,52 @@ TEST(ServeLoopTest, ShutdownRequestDrainsTheLoop)
     EXPECT_TRUE(service.shutdownRequested());
 }
 
-TEST(ServeOptionsTest, EnvironmentFillsUnsetFields)
+/** A served sweep of kSweepPoints under driver "serve_test". */
+JsonValue
+servedSweep(EvalService &service)
 {
-    setenv("LVA_SERVE_WORKERS", "7", 1);
-    setenv("LVA_SERVE_QUEUE", "3", 1);
-    setenv("LVA_SERVE_DEADLINE_MS", "1234", 1);
-    setenv("LVA_SERVE_RETRIES", "2", 1);
-    setenv("LVA_SERVE_CACHE", "5", 1);
-    ServeOptions opts = resolveServeOptions({});
-    EXPECT_EQ(opts.workers, 7u);
-    EXPECT_EQ(opts.queueCap, 3u);
-    EXPECT_EQ(opts.deadlineMs, 1234u);
-    EXPECT_EQ(opts.maxAttempts, 3u);
-    EXPECT_EQ(opts.cacheCap, 5u);
-    unsetenv("LVA_SERVE_CACHE");
+    return parseResponse(service.handle(
+        std::string("{\"schema\":\"lva-rpc-v1\",\"op\":\"sweep\","
+                    "\"driver\":\"serve_test\",\"points\":") +
+        kSweepPoints + "}"));
+}
 
-    // Explicit nonzero fields beat the environment.
-    ServeOptions explicit_opts;
-    explicit_opts.workers = 1;
-    explicit_opts.maxAttempts = 1;
-    explicit_opts.queueCap = 9;
-    explicit_opts.deadlineMs = 50;
-    opts = resolveServeOptions(explicit_opts);
-    EXPECT_EQ(opts.workers, 1u);
-    EXPECT_EQ(opts.maxAttempts, 1u);
-    EXPECT_EQ(opts.queueCap, 9u);
-    EXPECT_EQ(opts.deadlineMs, 50u);
+TEST(ServeService, ServedSweepsIgnoreTheCheckpointKnobs)
+{
+    // LVA_CHECKPOINT / LVA_RESUME belong to batch drivers: the service
+    // neither clears them from the process nor writes a manifest.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("lva_serve_ckpt_" + std::to_string(static_cast<long>(getpid())));
+    fs::remove_all(dir);
+    setenv("LVA_RESULTS_DIR", dir.c_str(), 1);
+    setenv("LVA_CHECKPOINT", "1", 1);
+    setenv("LVA_RESUME", "1", 1);
+    EvalService service(kSeeds, kScale, testOptions());
+    EXPECT_STREQ(std::getenv("LVA_CHECKPOINT"), "1");
+    EXPECT_STREQ(std::getenv("LVA_RESUME"), "1");
+    const JsonValue resp = servedSweep(service);
+    EXPECT_TRUE(responseOk(resp));
+    EXPECT_EQ(resp.at("resumed").asU64(), 0u);
+    EXPECT_FALSE(fs::exists(dir / "checkpoints"));
+    unsetenv("LVA_CHECKPOINT");
+    unsetenv("LVA_RESUME");
+    unsetenv("LVA_RESULTS_DIR");
+    fs::remove_all(dir);
+}
 
-    unsetenv("LVA_SERVE_WORKERS");
-    unsetenv("LVA_SERVE_QUEUE");
-    unsetenv("LVA_SERVE_DEADLINE_MS");
-    unsetenv("LVA_SERVE_RETRIES");
-    opts = resolveServeOptions({});
-    EXPECT_EQ(opts.workers, 2u);
-    EXPECT_EQ(opts.queueCap, 16u);
-    EXPECT_EQ(opts.deadlineMs, 10000u);
-    EXPECT_EQ(opts.maxAttempts, 1u);
+TEST(ServeService, PointAttemptsRecoverATransientPointFault)
+{
+    // lva_served hands in 1 + LVA_RETRIES attempts per sweep point.
+    setFaultSpecForTest("sweep.point.0=throw@first1");
+    EvalService once(kSeeds, kScale, testOptions());
+    EXPECT_EQ(servedSweep(once).at("failures").asU64(), 1u);
+
+    setFaultSpecForTest("sweep.point.0=throw@first1");
+    EvalService retried(kSeeds, kScale, testOptions(), 2);
+    EXPECT_EQ(servedSweep(retried).at("failures").asU64(), 0u);
+    setFaultSpecForTest("");
 }
 
 TEST(ServeStatsTest, StatsOpExportsTheCacheSubtree)

@@ -14,8 +14,7 @@
  *   lva_client --port 7777 shutdown
  *
  * Options:
- *   --port N        daemon port, 1..65535 (required, or
- *                   LVA_SERVE_PORT)
+ *   --port N        daemon port, 1..65535 (required)
  *   --timeout-ms N  wire deadline per frame, 1..86400000 [600000]
  *   --workload NAME (eval) benchmark to evaluate
  *   --config JSON   (eval) inline config object
@@ -97,8 +96,6 @@ Options
 parse(int argc, char **argv)
 {
     Options opt;
-    opt.port =
-        static_cast<u16>(envKnobU64("LVA_SERVE_PORT", 0, 0, 65535));
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage(argv[0]);

@@ -148,6 +148,8 @@ parse(int argc, char **argv)
 {
     Options opt;
     opt.config.type = JsonValue::Type::Object;
+    // The run-wide sweep knobs (and LVA_MACHINE) first; flags win.
+    opt.sweep = sweepOptionsFromEnv("lva_explore");
     std::string text;
     auto need = [&](int &i) -> const std::string & {
         if (i + 1 >= argc)
@@ -199,7 +201,6 @@ parse(int argc, char **argv)
             std::exit(2);
         }
     }
-    opt.sweep.driver = "lva_explore";
     return opt;
 }
 
@@ -217,10 +218,6 @@ main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
     Evaluator eval(opt.seeds, opt.scale);
-
-    // Resolve LVA_MACHINE (and the robustness knobs) up front: the
-    // topology axis must be known before points are built.
-    opt.sweep = resolveSweepOptions(opt.sweep);
 
     const std::string prefix = "explore@";
     std::vector<Axis> axes;

@@ -15,11 +15,10 @@
  *   lva_fleet --fleet 3                      # 3 workers, printed port
  *   lva_fleet --fleet 3 --cache 2 --jobs 2   # worker pass-through
  *
- * Options (defaults from the LVA_FLEET_* / LVA_SERVE_* knobs):
- *   --fleet N        worker processes, 1..64 (LVA_FLEET_SIZE)  [2]
+ * Options (flags only):
+ *   --fleet N        worker processes, 1..64                   [2]
  *   --port N         frontend port, 0..65535; 0 = ephemeral    [0]
- *   --served PATH    worker binary (LVA_FLEET_SERVED)
- *                    [lva_served next to this binary]
+ *   --served PATH    worker binary [lva_served next to this binary]
  *   --workers, --queue, --deadline-ms, --retries, --jobs,
  *   --cache, --seeds, --scale: forwarded to every worker.
  * A malformed or out-of-range value for any of them exits 2, before
@@ -95,7 +94,7 @@ constexpr u64 kMaxShards = 4096;
 
 struct Options
 {
-    u32 fleet = 0;       ///< worker count (0 = LVA_FLEET_SIZE, then 2)
+    u32 fleet = 2;       ///< worker count
     u16 port = 0;        ///< frontend port (0 = ephemeral)
     std::string served;  ///< worker binary path
     /** The workers' --seeds / --scale (0 = LVA_SEEDS / LVA_SCALE),
@@ -118,13 +117,10 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Worker binary path: LVA_FLEET_SERVED, else a sibling lva_served. */
+/** Default worker binary path: a sibling lva_served. */
 std::string
 defaultServedPath()
 {
-    // String-valued binary path. lva-audit: allow(knob-unvalidated)
-    if (const char *env = std::getenv("LVA_FLEET_SERVED"))
-        return env;
     // Sibling of this binary: build/tools/lva_fleet -> .../lva_served.
     char buf[4096];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
@@ -142,9 +138,6 @@ Options
 parse(int argc, char **argv)
 {
     Options opt;
-    // Strict parse (util/env_knob.hh): "2x" or "-1" warn and keep the
-    // default instead of silently becoming 2 or wrapping.
-    opt.fleet = static_cast<u32>(envKnobU64("LVA_FLEET_SIZE", 0, 1, 64));
     ServeFlags workerFlags; // checks the flags forwarded to workers
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -170,8 +163,6 @@ parse(int argc, char **argv)
     }
     opt.seeds = workerFlags.seeds;
     opt.scale = workerFlags.scale;
-    if (opt.fleet == 0)
-        opt.fleet = 2;
     if (opt.served.empty())
         opt.served = defaultServedPath();
     return opt;
@@ -669,7 +660,6 @@ class Fleet
             // The supervisor owns fleet policy; a worker must never
             // recurse into fleet spawning via inherited knobs.
             ::unsetenv("LVA_FLEET_FAULT");
-            ::unsetenv("LVA_SERVE_PORT");
 
             std::vector<const char *> args;
             args.push_back(opt_.served.c_str());

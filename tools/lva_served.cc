@@ -12,8 +12,8 @@
  *   lva_served --port 0 --workers 4        # ephemeral port, printed
  *   LVA_SEEDS=1 LVA_SCALE=0.05 lva_served  # quick smoke daemon
  *
- * Options (defaults from the LVA_SERVE_* knobs, see README; each
- * operand must lie in its knob's range, else exit 2):
+ * Options (flags only; each operand must lie in its range, else
+ * exit 2):
  *   --port N         TCP port on 127.0.0.1; 0 = ephemeral [0]
  *   --workers N      connection-handler threads (1..256)  [2]
  *   --queue N        waiting connections before `busy`    [16]
@@ -24,6 +24,9 @@
  *   --seeds N        evaluator seeds (1..64)        [LVA_SEEDS]
  *   --scale F        workload scale (1e-6..4)       [LVA_SCALE]
  *
+ * Each point of a served sweep gets 1 + LVA_RETRIES attempts, read
+ * once here; served sweeps never checkpoint.
+ *
  * SIGTERM / SIGINT drain: the daemon stops accepting, finishes every
  * in-flight request, and exits 0. A `shutdown` request does the same.
  */
@@ -33,6 +36,7 @@
 #include <cstdlib>
 
 #include "eval/service.hh"
+#include "util/env_knob.hh"
 #include "util/logging.hh"
 
 using namespace lva;
@@ -80,8 +84,10 @@ int
 main(int argc, char **argv)
 {
     const ServeFlags opt = parse(argc, argv);
+    const u32 pointAttempts =
+        static_cast<u32>(envKnobU64("LVA_RETRIES", 0, 0, 99)) + 1;
 
-    EvalService service(opt.seeds, opt.scale, opt.serve);
+    EvalService service(opt.seeds, opt.scale, opt.serve, pointAttempts);
     ServeLoop loop(service, opt.serve);
     g_loop = &loop;
 
