@@ -5,8 +5,9 @@
  * Each paper figure or ablation sweeps one design axis over the
  * workloads and tabulates a metric or two per axis point. A
  * FigureSpec states such a sweep, and runFigure() is the one engine
- * that runs any spec; every figure binary is bench/figure_main.cc
- * compiled with the spec's driver name.
+ * that runs any spec; the figure drivers are one executable,
+ * bench/figure_main.cc, which runs the spec named by the basename it
+ * is invoked under (each driver under bench/ is a link to it).
  *
  * A phase-1 spec (Figs. 4-9 and 13, the five approximator
  * ablations) writes its axis as labelled config overrides in the

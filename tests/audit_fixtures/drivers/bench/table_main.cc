@@ -1,5 +1,5 @@
-// Drivers fixture: the figure drivers share figure_main.cc in the real
-// tree, so the CMake names, not the sources, are the driver list.
+// Drivers fixture: in the real tree the figure drivers are links to one
+// executable, so the CMake names, not the sources, are the driver list.
 int
 main()
 {

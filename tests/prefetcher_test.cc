@@ -372,8 +372,9 @@ TEST(GhbPrefetcherVsReference, SameCandidatesAndCounts)
                     cfg, 0x9e37 + entries + degree + pcs, pcs, 6000);
                 // The stream must reach delta correlation, not only
                 // the next-line fallback (40 PCs do not fit 16 slots).
-                if (degree > 0 && (pcs <= 5 || entries > 16))
+                if (degree > 0 && (pcs <= 5 || entries > 16)) {
                     EXPECT_GT(predicted, 0u);
+                }
             }
         }
     }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <string>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "util/fault.hh"
 
@@ -54,8 +56,16 @@ class SweepResumeTest : public ::testing::TestWithParam<int>
     void
     SetUp() override
     {
+        // One dir per process and test: under ctest -j the tests of
+        // one parameter run at once and must not share files.
+        std::string test = ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        std::replace(test.begin(), test.end(), '/', '_');
         base_ = fs::temp_directory_path() /
-                ("lva_resume_j" + std::to_string(GetParam()));
+                ("lva_resume_" +
+                 std::to_string(static_cast<long>(getpid())) + "_" +
+                 test);
         fs::remove_all(base_);
     }
 

@@ -501,8 +501,9 @@ auditLocks(const Project &project, Sink &sink)
 void
 auditDrivers(const Project &project, Sink &sink)
 {
-    // The figure drivers share one source file, so the CMake target
-    // names, not the bench/*.cc basenames, are the driver list.
+    // The figure drivers are links to one executable, so the names
+    // bench/CMakeLists.txt declares, not the bench/*.cc basenames,
+    // are the driver list.
     static const std::regex decl(R"(^\s*lva_(?:bench|figure)\((\w+)\))");
     std::vector<CodeName> drivers;
     for (const TextFile &t : project.texts) {
