@@ -11,7 +11,7 @@
 # Parallelism: every bench driver fans its sweep grid out over
 # LVA_JOBS worker threads (default: hardware concurrency). LVA_JOBS=1
 # reproduces the historical serial path; results are byte-identical
-# either way.
+# either way. The cmake builds compile with as many jobs.
 #
 # Per-driver wall-clock times are aggregated into
 # results/bench_times.json so successive PRs have a perf trajectory
@@ -31,7 +31,7 @@ JOBS="${LVA_JOBS:-$(nproc)}"
 # No -G: an existing tree keeps its generator, a fresh one gets
 # cmake's default (or $CMAKE_GENERATOR).
 cmake -B build
-cmake --build build
+cmake --build build --parallel "$JOBS"
 ctest --test-dir build --output-on-failure
 
 if [[ "$MODE" == "quick" ]]; then
@@ -45,14 +45,14 @@ if [[ "$MODE" == "quick" ]]; then
     # tree and the entire ctest suite runs under both, so heap misuse
     # or UB anywhere in the simulator fails the smoke run.
     cmake -B build-asan -DLVA_ASAN=ON -DLVA_UBSAN=ON
-    cmake --build build-asan
+    cmake --build build-asan --parallel "$JOBS"
     ctest --test-dir build-asan --output-on-failure
 
     # ThreadSanitizer configuration: the gtest-free determinism check
     # is fully instrumented, so races in the thread pool or the
     # shared golden-run cache fail the run here.
     cmake -B build-tsan -DLVA_TSAN=ON
-    cmake --build build-tsan --target tsan_sweep_check
+    cmake --build build-tsan --target tsan_sweep_check --parallel "$JOBS"
     ./build-tsan/tests/tsan_sweep_check
 
     # Evaluation daemon: served sweeps must be byte-identical to the

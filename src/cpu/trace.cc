@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <cstring>
 #include <limits>
 #include <new>
 #include <utility>
@@ -10,24 +11,70 @@
 
 namespace lva {
 
+ThreadTrace::Mapping::Mapping(Mapping &&other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      capacity_(std::exchange(other.capacity_, 0))
+{
+}
+
+ThreadTrace::Mapping::~Mapping()
+{
+    if (data_ != nullptr)
+        munmap(data_, capacity_);
+}
+
+void
+ThreadTrace::Mapping::reserve(std::size_t bytes, std::size_t step)
+{
+    const std::size_t newCapacity = (bytes + step - 1) / step * step;
+    if (newCapacity <= capacity_)
+        return;
+    // An anonymous mapping rather than the heap: growing it moves page
+    // tables instead of copying bytes, and the allocator would keep a
+    // freed trace in its per-thread arenas instead of returning it to
+    // the OS.
+    void *mem = data_ == nullptr
+                    ? mmap(nullptr, newCapacity, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+                    : mremap(data_, capacity_, newCapacity, MREMAP_MAYMOVE);
+    if (mem == MAP_FAILED)
+        throw std::bad_alloc();
+    data_ = mem;
+    capacity_ = newCapacity;
+}
+
+void
+ThreadTrace::Mapping::swap(Mapping &other) noexcept
+{
+    std::swap(data_, other.data_);
+    std::swap(capacity_, other.capacity_);
+}
+
 ThreadTrace::ThreadTrace(std::initializer_list<TraceEvent> events)
 {
-    growTo(events.size());
+    records_.reserve(events.size() * sizeof(Record),
+                     chunkEvents * sizeof(Record));
     for (const TraceEvent &ev : events)
         push_back(ev);
 }
 
 ThreadTrace::ThreadTrace(const ThreadTrace &other)
+    : size_(other.size_), valueBytes_(other.valueBytes_)
 {
-    growTo(other.size_);
-    for (const TraceEvent &ev : other)
-        push_back(ev);
+    records_.reserve(size_ * sizeof(Record), chunkEvents * sizeof(Record));
+    values_.reserve(valueBytes_, chunkEvents * sizeof(u64));
+    if (size_ > 0)
+        std::memcpy(records_.data(), other.records_.data(),
+                    size_ * sizeof(Record));
+    if (valueBytes_ > 0)
+        std::memcpy(values_.data(), other.values_.data(), valueBytes_);
 }
 
 ThreadTrace::ThreadTrace(ThreadTrace &&other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
+    : records_(std::move(other.records_)),
+      values_(std::move(other.values_)),
       size_(std::exchange(other.size_, 0)),
-      capacity_(std::exchange(other.capacity_, 0))
+      valueBytes_(std::exchange(other.valueBytes_, 0))
 {
 }
 
@@ -38,41 +85,13 @@ ThreadTrace::operator=(ThreadTrace other) noexcept
     return *this;
 }
 
-ThreadTrace::~ThreadTrace()
-{
-    if (data_ != nullptr)
-        munmap(data_, capacity_ * sizeof(TraceEvent));
-}
-
-void
-ThreadTrace::growTo(std::size_t events)
-{
-    const std::size_t steps = (events + chunkEvents - 1) / chunkEvents;
-    const std::size_t newCapacity = steps * chunkEvents;
-    if (newCapacity <= capacity_)
-        return;
-    // An anonymous mapping rather than the heap: growing it moves page
-    // tables instead of copying events, and the allocator would keep a
-    // freed trace in its per-thread arenas instead of returning it to
-    // the OS.
-    const std::size_t oldBytes = capacity_ * sizeof(TraceEvent);
-    const std::size_t newBytes = newCapacity * sizeof(TraceEvent);
-    void *mem = data_ == nullptr
-                    ? mmap(nullptr, newBytes, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
-                    : mremap(data_, oldBytes, newBytes, MREMAP_MAYMOVE);
-    if (mem == MAP_FAILED)
-        throw std::bad_alloc();
-    data_ = static_cast<TraceEvent *>(mem);
-    capacity_ = newCapacity;
-}
-
 void
 ThreadTrace::swap(ThreadTrace &other) noexcept
 {
-    std::swap(data_, other.data_);
+    records_.swap(other.records_);
+    values_.swap(other.values_);
     std::swap(size_, other.size_);
-    std::swap(capacity_, other.capacity_);
+    std::swap(valueBytes_, other.valueBytes_);
 }
 
 TraceRecorder::TraceRecorder(u32 threads)

@@ -46,25 +46,13 @@ readPod(std::ifstream &in, const std::string &path)
 Value
 valueFrom(u8 kind, u64 bits)
 {
-    switch (static_cast<ValueKind>(kind)) {
-      case ValueKind::Int64: {
-        i64 v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return Value::fromInt(v);
-      }
-      case ValueKind::Float32: {
-        const u32 b = static_cast<u32>(bits);
-        float f;
-        std::memcpy(&f, &b, sizeof(f));
-        return Value::fromFloat(f);
-      }
-      case ValueKind::Float64: {
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        return Value::fromDouble(d);
-      }
-    }
-    lva_fatal("trace contains unknown value kind %u", kind);
+    if (kind > static_cast<u8>(ValueKind::Float64))
+        lva_fatal("trace contains unknown value kind %u", kind);
+    const auto k = static_cast<ValueKind>(kind);
+    // A Float32 is its low half (writeTraces zero-extends it).
+    return Value::fromBits(k, k == ValueKind::Float32
+                                  ? static_cast<u32>(bits)
+                                  : bits);
 }
 
 } // namespace
@@ -128,6 +116,13 @@ readTraces(const std::string &path)
         const u64 count = readPod<u64>(in, path);
         for (u64 i = 0; i < count; ++i) {
             const auto rec = readPod<PackedEvent>(in, path);
+            if (rec.flags > 7 || rec.addr > ThreadTrace::maxAddr)
+                lva_fatal("trace file '%s' is corrupt: event %llu has "
+                          "flags %#x and address %#llx (flags use bits "
+                          "0-2, addresses 56 bits)",
+                          path.c_str(), static_cast<unsigned long long>(i),
+                          rec.flags,
+                          static_cast<unsigned long long>(rec.addr));
             TraceEvent ev;
             ev.addr = rec.addr;
             ev.value = valueFrom(rec.kind, rec.valueBits);

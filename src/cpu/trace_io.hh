@@ -10,7 +10,10 @@
  *   per thread: u64 event count, then events as packed records:
  *     u64 addr, u64 value bits, u32 pc, u32 instrBefore,
  *     u8 value kind, u8 flags (bit0 isLoad, bit1 approximable,
- *                              bit2 dependsOnPrev)
+ *                              bit2 dependsOnPrev), 6 pad bytes
+ *   Flag bits 3-7 are zero and addresses fit 56 bits (what a
+ *   ThreadTrace can hold); readTraces rejects any other record as
+ *   corrupt.
  */
 
 #ifndef LVA_CPU_TRACE_IO_HH

@@ -40,9 +40,11 @@ struct FullSystemSim::CoreCtx
     OoOCore core;
     Cache l1;
     std::unique_ptr<LoadValueApproximator> lva;
-    std::size_t cursor = 0;          ///< next trace event
-    const ThreadTrace *trace = nullptr;
-    std::size_t traceSize = 0;       ///< trace->size(), for the pick
+    /** Next trace event (its record and value cursors) and the end. */
+    ThreadTrace::const_iterator cursor;
+    ThreadTrace::const_iterator traceEnd;
+    /** The event at cursor, decoded when its batch starts. */
+    TraceEvent ev;
     Counter &demandMisses;
     Counter &approxMisses;
     Counter &l1Misses;
@@ -288,8 +290,8 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
                "trace count %zu != core count %zu", traces.size(),
                cores_.size());
     for (u32 c = 0; c < cores_.size(); ++c) {
-        cores_[c]->trace = &traces[c];
-        cores_[c]->traceSize = traces[c].size();
+        cores_[c]->cursor = traces[c].begin();
+        cores_[c]->traceEnd = traces[c].end();
     }
 
     // Replay: always advance the core whose local clock is earliest,
@@ -300,7 +302,7 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
         u32 next_id = 0;
         for (u32 c = 0; c < cores_.size(); ++c) {
             CoreCtx &ctx = *cores_[c];
-            if (ctx.cursor >= ctx.traceSize)
+            if (ctx.cursor == ctx.traceEnd)
                 continue;
             if (next == nullptr || ctx.core.now() < next->core.now()) {
                 next = &ctx;
@@ -313,10 +315,10 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
         // Execute the event's leading instruction batch in bounded
         // chunks, yielding to other cores between chunks so their
         // coherence actions interleave at realistic granularity.
-        const TraceEvent &ev = (*next->trace)[next->cursor];
         constexpr u32 quantum = 64;
         if (!next->batchStarted) {
-            next->pendingInstr = ev.instrBefore;
+            next->ev = *next->cursor;
+            next->pendingInstr = next->ev.instrBefore;
             next->batchStarted = true;
         }
         if (next->pendingInstr > 0) {
@@ -327,8 +329,9 @@ FullSystemSim::run(const std::vector<ThreadTrace> &traces)
             next->pendingInstr -= chunk;
             continue; // rescheduled by min-clock
         }
-        next->cursor++;
+        ++next->cursor;
         next->batchStarted = false;
+        const TraceEvent &ev = next->ev;
 
         // Address dependency: a pointer-chasing load cannot issue
         // before the load that produced its address has completed.

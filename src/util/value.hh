@@ -72,6 +72,16 @@ class Value
         return out;
     }
 
+    /** Rebuild a value from its kind() and bits(). */
+    static Value
+    fromBits(ValueKind kind, u64 bits)
+    {
+        Value out;
+        out.kind_ = kind;
+        out.bits_ = bits;
+        return out;
+    }
+
     /** Build a Value of @p kind from a real number (rounding for Int64). */
     static Value ofKind(ValueKind kind, double v);
 

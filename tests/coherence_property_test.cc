@@ -77,13 +77,20 @@ TEST_P(CoherenceProperty, RandomTrafficCompletesAndConserves)
 
 TEST_P(CoherenceProperty, LvaOnSharedTrafficStaysSane)
 {
-    auto traces = randomSharedTraffic(GetParam() ^ 0xabcd, 400, 16);
-    // Make half of the loads approximable.
+    // Make half of the loads approximable. Stored events are not
+    // editable, so edit decoded copies and build new traces.
     Rng rng(GetParam());
-    for (auto &trace : traces)
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            if (trace[i].isLoad && rng.chance(0.5))
-                trace[i].approximable = true;
+    std::vector<ThreadTrace> traces;
+    for (const ThreadTrace &shared :
+         randomSharedTraffic(GetParam() ^ 0xabcd, 400, 16)) {
+        std::vector<TraceEvent> events(shared.begin(), shared.end());
+        for (TraceEvent &ev : events)
+            if (ev.isLoad && rng.chance(0.5))
+                ev.approximable = true;
+        ThreadTrace &trace = traces.emplace_back();
+        for (const TraceEvent &ev : events)
+            trace.push_back(ev);
+    }
 
     FullSystemSim base(FullSystemConfig::baseline());
     const FullSystemResult rb = base.run(traces);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -58,9 +59,11 @@ expectEqual(const std::vector<ThreadTrace> &a,
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t t = 0; t < a.size(); ++t) {
         ASSERT_EQ(a[t].size(), b[t].size()) << "thread " << t;
-        for (std::size_t i = 0; i < a[t].size(); ++i) {
-            const TraceEvent &x = a[t][i];
-            const TraceEvent &y = b[t][i];
+        auto xi = a[t].begin();
+        auto yi = b[t].begin();
+        for (std::size_t i = 0; i < a[t].size(); ++i, ++xi, ++yi) {
+            const TraceEvent x = *xi;
+            const TraceEvent y = *yi;
             EXPECT_EQ(x.addr, y.addr);
             EXPECT_EQ(x.pc, y.pc);
             EXPECT_EQ(x.instrBefore, y.instrBefore);
@@ -154,6 +157,61 @@ TEST(TraceIo, FileBytesArePinned)
     EXPECT_EQ(bytes.size(), 14956u);
     EXPECT_EQ(hexU64(fnv1a64(bytes)), "d25c6d5031bd584f");
     expectEqual(randomTraces(42), readTraces(path));
+    std::filesystem::remove(path);
+}
+
+/**
+ * Write a one-thread LVATRC1 file at @p path holding one Int64 load
+ * at @p addr with flag byte @p flags.
+ */
+void
+writeOneEventFile(const std::string &path, u64 addr, u8 flags)
+{
+    std::ofstream out(path, std::ios::binary);
+    const u32 threads = 1;
+    const u64 count = 1;
+    out.write("LVATRC1\n", 8);
+    out.write(reinterpret_cast<const char *>(&threads), sizeof(threads));
+    out.write(reinterpret_cast<const char *>(&count), sizeof(count));
+    char rec[32] = {};
+    std::memcpy(rec, &addr, sizeof(addr));
+    rec[25] = static_cast<char>(flags);
+    out.write(rec, sizeof(rec));
+}
+
+TEST(TraceIo, HandBuiltRecordReadsBack)
+{
+    // The layout the hostile-input tests below build by hand.
+    const std::string path = "test_trace_handbuilt.bin";
+    writeOneEventFile(path, ThreadTrace::maxAddr, 7);
+    const auto traces = readTraces(path);
+    ASSERT_EQ(traces.size(), 1u);
+    ASSERT_EQ(traces[0].size(), 1u);
+    const TraceEvent ev = *traces[0].begin();
+    EXPECT_EQ(ev.addr, ThreadTrace::maxAddr);
+    EXPECT_TRUE(ev.isLoad && ev.approximable && ev.dependsOnPrev);
+    std::filesystem::remove(path);
+}
+
+TEST(TraceIo, UnknownFlagBitsAreCorrupt)
+{
+    const std::string path = "test_trace_flags.bin";
+    for (u8 flags : {u8(0x08), u8(0x80), u8(0xff)}) {
+        writeOneEventFile(path, 0x1000, flags);
+        EXPECT_EXIT(readTraces(path), ::testing::ExitedWithCode(1),
+                    "corrupt");
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(TraceIo, AddressPastFiftySixBitsIsCorrupt)
+{
+    const std::string path = "test_trace_addr.bin";
+    for (u64 addr : {ThreadTrace::maxAddr + 1, ~u64(0)}) {
+        writeOneEventFile(path, addr, 1);
+        EXPECT_EXIT(readTraces(path), ::testing::ExitedWithCode(1),
+                    "corrupt");
+    }
     std::filesystem::remove(path);
 }
 
