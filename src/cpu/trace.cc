@@ -52,29 +52,36 @@ ThreadTrace::Mapping::swap(Mapping &other) noexcept
 
 ThreadTrace::ThreadTrace(std::initializer_list<TraceEvent> events)
 {
-    records_.reserve(events.size() * sizeof(Record),
-                     chunkEvents * sizeof(Record));
+    records_.reserve(events.size() * sizeof(u64), chunkEvents * sizeof(u64));
     for (const TraceEvent &ev : events)
         push_back(ev);
 }
 
 ThreadTrace::ThreadTrace(const ThreadTrace &other)
-    : size_(other.size_), valueBytes_(other.valueBytes_)
+    : pcs_(other.pcs_), size_(other.size_),
+      valueBytes_(other.valueBytes_), wideCount_(other.wideCount_)
 {
-    records_.reserve(size_ * sizeof(Record), chunkEvents * sizeof(Record));
+    records_.reserve(size_ * sizeof(u64), chunkEvents * sizeof(u64));
     values_.reserve(valueBytes_, chunkEvents * sizeof(u64));
+    wides_.reserve(wideCount_ * sizeof(Wide), chunkEvents * sizeof(Wide));
     if (size_ > 0)
         std::memcpy(records_.data(), other.records_.data(),
-                    size_ * sizeof(Record));
+                    size_ * sizeof(u64));
     if (valueBytes_ > 0)
         std::memcpy(values_.data(), other.values_.data(), valueBytes_);
+    if (wideCount_ > 0)
+        std::memcpy(wides_.data(), other.wides_.data(),
+                    wideCount_ * sizeof(Wide));
 }
 
 ThreadTrace::ThreadTrace(ThreadTrace &&other) noexcept
     : records_(std::move(other.records_)),
       values_(std::move(other.values_)),
+      wides_(std::move(other.wides_)),
+      pcs_(std::exchange(other.pcs_, {})),
       size_(std::exchange(other.size_, 0)),
-      valueBytes_(std::exchange(other.valueBytes_, 0))
+      valueBytes_(std::exchange(other.valueBytes_, 0)),
+      wideCount_(std::exchange(other.wideCount_, 0))
 {
 }
 
@@ -90,8 +97,11 @@ ThreadTrace::swap(ThreadTrace &other) noexcept
 {
     records_.swap(other.records_);
     values_.swap(other.values_);
+    wides_.swap(other.wides_);
+    pcs_.swap(other.pcs_);
     std::swap(size_, other.size_);
     std::swap(valueBytes_, other.valueBytes_);
+    std::swap(wideCount_, other.wideCount_);
 }
 
 TraceRecorder::TraceRecorder(u32 threads)

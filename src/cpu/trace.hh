@@ -11,15 +11,18 @@
  * faithful substitute for execution-driven timing.
  *
  * A trace is the largest live object of every phase-2 driver, so it is
- * stored encoded: a 16-byte record per event (the address with the
- * flags in its top byte, the PC and the instruction count) plus a
- * packed column holding each event's value in 0, 4 or 8 bytes. Every
+ * stored encoded: one 8-byte record per event (the address, the
+ * instruction count, an index into a per-trace PC table and the flags)
+ * plus a packed column holding each event's value in 0, 4 or 8 bytes.
+ * An event whose address, count or PC does not fit its record field is
+ * "wide": its full address, PC and count go into a third column. Every
  * field decodes bit-exactly; TraceEvent is the decoded form.
  */
 
 #ifndef LVA_CPU_TRACE_HH
 #define LVA_CPU_TRACE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
@@ -53,13 +56,16 @@ struct TraceEvent
 static_assert(sizeof(TraceEvent) == 32, "TraceEvent layout drifted");
 
 /**
- * The access stream of one logical thread / core, in two columns.
+ * The access stream of one logical thread / core, in three columns
+ * and a PC table.
  *
- * Record column: one 16-byte record per event, `{u64 addr | flags in
- * bits 56-63; u32 pc; u32 instrBefore}`. The flags are isLoad (bit
- * 56), approximable (57), dependsOnPrev (58), the ValueKind (59-60)
- * and the value's width code (61-62); bit 63 is zero. Addresses must
- * fit 56 bits.
+ * Record column: one u64 per event. Bits 0-31 hold the address, 32-47
+ * `instrBefore`, 48-55 the event's index in the PC table; bit 56 is
+ * isLoad, 57 approximable, 58 dependsOnPrev, 59-60 the ValueKind and
+ * 61-62 the value's width code. Bit 63 marks a wide event, whose bits
+ * 0-55 are zero.
+ *
+ * PC table: the first maxPcs distinct PCs, in order of first use.
  *
  * Value column: a byte stream with one entry per event, in event
  * order. A value whose bits are all zero (Value{}, so every store)
@@ -67,20 +73,27 @@ static_assert(sizeof(TraceEvent) == 32, "TraceEvent layout drifted");
  * extended for Float32, sign-extended for Int64 — takes 4; any other
  * takes 8.
  *
- * Both columns grow in fixed steps of chunkEvents events (8-byte
+ * Wide column: the full address, PC and count of each wide event, in
+ * event order. An event is wide when its address is 2^32 or more, its
+ * count 2^16 or more, or its PC missed a full table. Addresses must
+ * fit 56 bits either way.
+ *
+ * The columns grow in fixed steps of chunkEvents entries (8-byte
  * values for the value column). The surface is the subset of
  * std::vector the recorder, the replay loop and the trace file format
- * use, with decoded events in place of references.
+ * use, with decoded events in place of references; as with a vector,
+ * push_back invalidates iterators.
  */
 class ThreadTrace
 {
-    struct Record
+    /** A wide event's fields that do not fit its record. */
+    struct Wide
     {
-        u64 addrFlags;
+        Addr addr;
         LoadSiteId pc;
         u32 instrBefore;
     };
-    static_assert(sizeof(Record) == 16, "trace record layout drifted");
+    static_assert(sizeof(Wide) == 16, "wide entry layout drifted");
 
     /**
      * One anonymous mapping grown in whole steps with mremap, which
@@ -109,18 +122,23 @@ class ThreadTrace
         std::size_t capacity_ = 0;
     };
 
-    static constexpr unsigned flagShift = 56;
+    static constexpr unsigned instrShift = 32;
+    static constexpr unsigned pcShift = 48;
     static constexpr u64 isLoadFlag = u64(1) << 56;
     static constexpr u64 approximableFlag = u64(1) << 57;
     static constexpr u64 dependsOnPrevFlag = u64(1) << 58;
     static constexpr unsigned kindShift = 59;
     static constexpr unsigned widthShift = 61;
+    static constexpr unsigned wideShift = 63;
 
   public:
-    /** Events per growth step (1 MiB of records, 512 KiB of values). */
+    /** Entries per growth step (512 KiB of records, 512 KiB of values,
+     *  1 MiB of wide entries). */
     static constexpr std::size_t chunkEvents = std::size_t(1) << 16;
     /** Largest address a trace can hold (56 bits). */
-    static constexpr Addr maxAddr = (Addr(1) << flagShift) - 1;
+    static constexpr Addr maxAddr = (Addr(1) << 56) - 1;
+    /** Most distinct PCs the PC table holds. */
+    static constexpr std::size_t maxPcs = 255;
 
     /** Forward iterator yielding decoded events. */
     class const_iterator
@@ -138,11 +156,11 @@ class ThreadTrace
         TraceEvent
         operator*() const
         {
-            const u64 af = rec_->addrFlags;
+            const u64 rec = *rec_;
             const auto kind =
-                static_cast<ValueKind>((af >> kindShift) & 3);
+                static_cast<ValueKind>((rec >> kindShift) & 3);
             u64 bits = 0;
-            switch (af >> widthShift) {
+            switch ((rec >> widthShift) & 3) {
               case 1: {
                 u32 low;
                 std::memcpy(&low, value_, sizeof(low));
@@ -159,20 +177,28 @@ class ThreadTrace
                 break;
             }
             TraceEvent ev;
-            ev.addr = af & maxAddr;
+            if (rec >> wideShift) {
+                ev.addr = wide_->addr;
+                ev.pc = wide_->pc;
+                ev.instrBefore = wide_->instrBefore;
+            } else {
+                ev.addr = static_cast<u32>(rec);
+                ev.pc = pcs_[static_cast<u8>(rec >> pcShift)];
+                ev.instrBefore = static_cast<u16>(rec >> instrShift);
+            }
             ev.value = Value::fromBits(kind, bits);
-            ev.pc = rec_->pc;
-            ev.instrBefore = rec_->instrBefore;
-            ev.isLoad = (af & isLoadFlag) != 0;
-            ev.approximable = (af & approximableFlag) != 0;
-            ev.dependsOnPrev = (af & dependsOnPrevFlag) != 0;
+            ev.isLoad = (rec & isLoadFlag) != 0;
+            ev.approximable = (rec & approximableFlag) != 0;
+            ev.dependsOnPrev = (rec & dependsOnPrevFlag) != 0;
             return ev;
         }
 
         const_iterator &
         operator++()
         {
-            value_ += 4 * (rec_->addrFlags >> widthShift);
+            const u64 rec = *rec_;
+            value_ += 4 * ((rec >> widthShift) & 3);
+            wide_ += rec >> wideShift;
             ++rec_;
             return *this;
         }
@@ -193,13 +219,16 @@ class ThreadTrace
 
       private:
         friend class ThreadTrace;
-        const_iterator(const Record *rec, const unsigned char *value)
-            : rec_(rec), value_(value)
+        const_iterator(const u64 *rec, const unsigned char *value,
+                       const Wide *wide, const LoadSiteId *pcs)
+            : rec_(rec), value_(value), wide_(wide), pcs_(pcs)
         {
         }
 
-        const Record *rec_ = nullptr;
+        const u64 *rec_ = nullptr;
         const unsigned char *value_ = nullptr;
+        const Wide *wide_ = nullptr;
+        const LoadSiteId *pcs_ = nullptr;
     };
 
     ThreadTrace() = default;
@@ -215,7 +244,15 @@ class ThreadTrace
     std::size_t
     capacity() const
     {
-        return records_.capacity() / sizeof(Record);
+        return records_.capacity() / sizeof(u64);
+    }
+
+    /** Bytes the three columns hold; capacity not yet written to is
+     *  not counted. */
+    std::size_t
+    storageBytes() const
+    {
+        return size_ * sizeof(u64) + valueBytes_ + wideCount_ * sizeof(Wide);
     }
 
     /** Append @p ev; panics if its address needs more than 56 bits. */
@@ -226,8 +263,8 @@ class ThreadTrace
                    "trace address %#llx does not fit 56 bits",
                    static_cast<unsigned long long>(ev.addr));
         if (size_ == capacity())
-            records_.reserve((size_ + 1) * sizeof(Record),
-                             chunkEvents * sizeof(Record));
+            records_.reserve((size_ + 1) * sizeof(u64),
+                             chunkEvents * sizeof(u64));
         if (valueBytes_ + sizeof(u64) > values_.capacity())
             values_.reserve(valueBytes_ + sizeof(u64),
                             chunkEvents * sizeof(u64));
@@ -250,26 +287,44 @@ class ThreadTrace
             std::memcpy(out, &bits, sizeof(bits));
         valueBytes_ += 4 * width;
 
-        const u64 addrFlags = ev.addr | (ev.isLoad ? isLoadFlag : 0) |
-                              (ev.approximable ? approximableFlag : 0) |
-                              (ev.dependsOnPrev ? dependsOnPrevFlag : 0) |
-                              (static_cast<u64>(kind) << kindShift) |
-                              (width << widthShift);
-        ::new (static_cast<void *>(records() + size_))
-            Record{addrFlags, ev.pc, ev.instrBefore};
+        u64 rec = (ev.isLoad ? isLoadFlag : 0) |
+                  (ev.approximable ? approximableFlag : 0) |
+                  (ev.dependsOnPrev ? dependsOnPrevFlag : 0) |
+                  (static_cast<u64>(kind) << kindShift) |
+                  (width << widthShift);
+        const std::size_t pcIndex = pcIndexOf(ev.pc);
+        if (ev.addr <= 0xffff'ffff && ev.instrBefore <= 0xffff &&
+            pcIndex < maxPcs) {
+            rec |= ev.addr | (u64(ev.instrBefore) << instrShift) |
+                   (u64(pcIndex) << pcShift);
+        } else {
+            rec |= u64(1) << wideShift;
+            if ((wideCount_ + 1) * sizeof(Wide) > wides_.capacity())
+                wides_.reserve((wideCount_ + 1) * sizeof(Wide),
+                               chunkEvents * sizeof(Wide));
+            ::new (static_cast<void *>(wides() + wideCount_))
+                Wide{ev.addr, ev.pc, ev.instrBefore};
+            ++wideCount_;
+        }
+        ::new (static_cast<void *>(records() + size_)) u64(rec);
         ++size_;
     }
 
-    const_iterator begin() const { return {records(), values()}; }
+    const_iterator
+    begin() const
+    {
+        return {records(), values(), wides(), pcs_.data()};
+    }
 
     const_iterator
     end() const
     {
-        return {records() + size_, values() + valueBytes_};
+        return {records() + size_, values() + valueBytes_,
+                wides() + wideCount_, pcs_.data()};
     }
 
   private:
-    Record *records() const { return static_cast<Record *>(records_.data()); }
+    u64 *records() const { return static_cast<u64 *>(records_.data()); }
 
     unsigned char *
     values() const
@@ -277,12 +332,31 @@ class ThreadTrace
         return static_cast<unsigned char *>(values_.data());
     }
 
+    Wide *wides() const { return static_cast<Wide *>(wides_.data()); }
+
+    /** @p pc's index in the PC table, added if the table has room;
+     *  maxPcs if it is full and @p pc is not in it. */
+    std::size_t
+    pcIndexOf(LoadSiteId pc)
+    {
+        const auto it = std::find(pcs_.begin(), pcs_.end(), pc);
+        if (it != pcs_.end())
+            return static_cast<std::size_t>(it - pcs_.begin());
+        if (pcs_.size() == maxPcs)
+            return maxPcs;
+        pcs_.push_back(pc);
+        return pcs_.size() - 1;
+    }
+
     void swap(ThreadTrace &other) noexcept;
 
     Mapping records_;
     Mapping values_;
+    Mapping wides_;
+    std::vector<LoadSiteId> pcs_;
     std::size_t size_ = 0;
     std::size_t valueBytes_ = 0;
+    std::size_t wideCount_ = 0;
 };
 
 /**

@@ -40,7 +40,8 @@ struct FullSystemSim::CoreCtx
     OoOCore core;
     Cache l1;
     std::unique_ptr<LoadValueApproximator> lva;
-    /** Next trace event (its record and value cursors) and the end. */
+    /** Next trace event (its record, value and wide cursors and the
+     *  PC table) and the end. */
     ThreadTrace::const_iterator cursor;
     ThreadTrace::const_iterator traceEnd;
     /** The event at cursor, decoded when its batch starts. */

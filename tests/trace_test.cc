@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "cpu/trace.hh"
+#include "eval/fullsystem_eval.hh"
+#include "workloads/workload.hh"
 
 namespace lva {
 namespace {
@@ -149,8 +151,9 @@ edgeValues()
 
 /**
  * Event @p i of a stream that cycles through edgeValues(), each on
- * every combination of the three flags in turn, with the extreme
- * addresses, PCs and instruction counts mixed in.
+ * every combination of the three flags in turn, with the addresses,
+ * instruction counts and PCs at the edges of the compact record mixed
+ * in: about half the events are wide.
  */
 TraceEvent
 edgeEvent(std::size_t i)
@@ -162,16 +165,81 @@ edgeEvent(std::size_t i)
     ev.isLoad = (round & 1) != 0;
     ev.approximable = (round & 2) != 0;
     ev.dependsOnPrev = (round & 4) != 0;
-    ev.addr = i % 4 == 0   ? ThreadTrace::maxAddr
-              : i % 4 == 1 ? 0
-                           : 0x7000'0000'0000 + 64 * i;
+    ev.addr = i % 6 == 0   ? ThreadTrace::maxAddr
+              : i % 6 == 1 ? 0
+              : i % 6 == 2 ? 0xffff'ffffu
+              : i % 6 == 3 ? Addr(1) << 32
+                           : 0x1000'0000 + 64 * i;
     ev.pc = i % 5 == 0   ? std::numeric_limits<u32>::max()
             : i % 5 == 1 ? 0
-                         : static_cast<LoadSiteId>(i * 13);
+                         : static_cast<LoadSiteId>(0x400 + 4 * (i % 11));
     ev.instrBefore = i % 7 == 0   ? std::numeric_limits<u32>::max()
                      : i % 7 == 1 ? 0
+                     : i % 7 == 2 ? 0xffff
+                     : i % 7 == 3 ? 0x1'0000
                                   : static_cast<u32>(i % 97);
     return ev;
+}
+
+/**
+ * Event @p i of a compact stream whose PC changes every third event
+ * and cycles through 300 distinct PCs: the first PC to miss the full
+ * table arrives at event 765, and the last 45 PCs of each cycle are
+ * wide from then on.
+ */
+TraceEvent
+manyPcEvent(std::size_t i)
+{
+    const std::vector<Value> &values = edgeValues();
+    TraceEvent ev;
+    ev.addr = 0x1000'0000 + 8 * i;
+    ev.value = values[i % values.size()];
+    ev.pc = static_cast<LoadSiteId>(0x40'0000 + 4 * (i / 3 % 300));
+    ev.instrBefore = static_cast<u32>(i % 50);
+    ev.isLoad = i % 4 != 0;
+    ev.approximable = i % 2 == 0;
+    return ev;
+}
+
+/** The bytes @p v takes in the value column: 0 for zero bits, 4 when
+ *  its low half gives them back, else 8. */
+std::size_t
+valueEntryBytes(const Value &v)
+{
+    const u64 bits = v.bits();
+    if (bits == 0)
+        return 0;
+    const bool low =
+        v.kind() == ValueKind::Int64
+            ? bits == static_cast<u64>(
+                          static_cast<i64>(static_cast<i32>(bits)))
+            : v.kind() == ValueKind::Float32 && bits >> 32 == 0;
+    return low ? 4 : 8;
+}
+
+/**
+ * The bytes a ThreadTrace holding @p events should store, worked out
+ * from the layout rather than the encoder: 8 per record, the value's
+ * 0/4/8-byte entry, and 16 more for each event that is wide because
+ * of its address, its count or a PC that missed the full PC table.
+ */
+std::size_t
+layoutBytes(const std::vector<TraceEvent> &events)
+{
+    std::vector<LoadSiteId> table;
+    std::size_t bytes = 0;
+    for (const TraceEvent &ev : events) {
+        bytes += 8 + valueEntryBytes(ev.value);
+        bool inTable =
+            std::find(table.begin(), table.end(), ev.pc) != table.end();
+        if (!inTable && table.size() < ThreadTrace::maxPcs) {
+            table.push_back(ev.pc);
+            inTable = true;
+        }
+        if (ev.addr >> 32 != 0 || ev.instrBefore >> 16 != 0 || !inTable)
+            bytes += 16;
+    }
+    return bytes;
 }
 
 void
@@ -230,9 +298,11 @@ class ThreadTraceSizes : public ::testing::TestWithParam<std::size_t>
 TEST_P(ThreadTraceSizes, MatchesVectorReference)
 {
     // Encode, decode, copy, self-assign, move and grow a copy, for the
-    // all-8-byte stream and the edge-value stream.
+    // all-8-byte stream, the edge stream (compact and wide events
+    // mixed) and the PC-table overflow stream.
     const std::size_t n = GetParam();
-    for (TraceEvent (*make)(std::size_t) : {syntheticEvent, edgeEvent}) {
+    for (TraceEvent (*make)(std::size_t) :
+         {syntheticEvent, edgeEvent, manyPcEvent}) {
         ThreadTrace trace;
         std::vector<TraceEvent> reference;
         for (std::size_t i = 0; i < n; ++i) {
@@ -245,16 +315,22 @@ TEST_P(ThreadTraceSizes, MatchesVectorReference)
         EXPECT_GE(trace.capacity(), n);
         EXPECT_LT(trace.capacity() - n, ThreadTrace::chunkEvents);
         expectSameEvents(decoded(trace), reference);
+        const std::size_t bytes = layoutBytes(reference);
+        EXPECT_EQ(trace.storageBytes(), bytes);
 
         ThreadTrace copy = trace;
         expectSameEvents(decoded(copy), reference);
+        EXPECT_EQ(copy.storageBytes(), bytes);
         const ThreadTrace &alias = copy;
         copy = alias;
         expectSameEvents(decoded(copy), reference);
+        EXPECT_EQ(copy.storageBytes(), bytes);
 
         const ThreadTrace moved = std::move(copy);
         expectSameEvents(decoded(moved), reference);
+        EXPECT_EQ(moved.storageBytes(), bytes);
         EXPECT_TRUE(copy.empty()); // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(copy.storageBytes(), 0u);
 
         ThreadTrace grown = moved;
         grown.push_back(make(n));
@@ -263,6 +339,7 @@ TEST_P(ThreadTraceSizes, MatchesVectorReference)
         std::vector<TraceEvent> longer = reference;
         longer.push_back(make(n));
         expectSameEvents(decoded(grown), longer);
+        EXPECT_EQ(grown.storageBytes(), layoutBytes(longer));
         expectSameEvents(decoded(trace), reference);
     }
 }
@@ -285,6 +362,73 @@ TEST(ThreadTrace, AddressPastFiftySixBitsIsFatal)
     EXPECT_DEATH(trace.push_back(ev), "56 bits");
     ev.addr = ~Addr(0);
     EXPECT_DEATH(trace.push_back(ev), "56 bits");
+}
+
+TEST(ThreadTrace, EachWideTriggerRoundTrips)
+{
+    // Each field value alone between two compact events: the ones past
+    // a record field go wide (16 more bytes), the ones at its edge do
+    // not. Values are Value{}, so the value column stays empty.
+    TraceEvent compact;
+    compact.addr = 0x1000'0000;
+    compact.pc = 0x400;
+    compact.instrBefore = 3;
+    struct Case
+    {
+        Addr addr;
+        LoadSiteId pc;
+        u32 instrBefore;
+        bool wide;
+    };
+    constexpr u32 u32Max = std::numeric_limits<u32>::max();
+    const std::vector<Case> cases = {
+        {0xffff'ffffu, 0x400, 3, false},
+        {Addr(1) << 32, 0x400, 3, true},
+        {ThreadTrace::maxAddr, 0x400, 3, true},
+        {0x1000'0000, 0x400, 0xffff, false},
+        {0x1000'0000, 0x400, 0x1'0000, true},
+        {0x1000'0000, 0x400, u32Max, true},
+        {0x1000'0000, 0, 3, false},
+        {0x1000'0000, u32Max, 3, false},
+        {ThreadTrace::maxAddr, u32Max, u32Max, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << std::hex << c.addr << " " << c.pc << " "
+                     << c.instrBefore);
+        TraceEvent ev = compact;
+        ev.addr = c.addr;
+        ev.pc = c.pc;
+        ev.instrBefore = c.instrBefore;
+        const std::vector<TraceEvent> events = {compact, ev, compact};
+        const ThreadTrace trace = {compact, ev, compact};
+        expectSameEvents(decoded(trace), events);
+        EXPECT_EQ(trace.storageBytes(), 3 * 8u + (c.wide ? 16u : 0u));
+        EXPECT_EQ(trace.storageBytes(), layoutBytes(events));
+    }
+}
+
+TEST(ThreadTrace, PcTableOverflowGoesWide)
+{
+    // 300 distinct PCs, twice over: the first 255 take the table and
+    // stay compact on both passes; the other 45 are wide both times.
+    ThreadTrace trace;
+    std::vector<TraceEvent> reference;
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < 300; ++k) {
+            TraceEvent ev;
+            ev.addr = 0x1000'0000 + 64 * k;
+            ev.pc = static_cast<LoadSiteId>(k * 0x1'0001);
+            ev.value = Value::fromInt(static_cast<i64>(k));
+            trace.push_back(ev);
+            reference.push_back(ev);
+        }
+    }
+    expectSameEvents(decoded(trace), reference);
+    // 600 records, 598 four-byte values (the two of k = 0 are zero
+    // bits, which take none) and 90 wide entries.
+    EXPECT_EQ(trace.storageBytes(), 600 * 8u + 598 * 4u + 90 * 16u);
+    EXPECT_EQ(trace.storageBytes(), layoutBytes(reference));
 }
 
 TEST(ThreadTrace, InterleavedGrowthKeepsEvents)
@@ -341,6 +485,28 @@ TEST(ThreadTrace, InitializerListOfEditedEvents)
     const ThreadTrace trace = {events[0], events[1]};
     ASSERT_EQ(trace.size(), 2u);
     expectSameEvents(decoded(trace), events);
+}
+
+TEST(TraceRecorder, WorkloadTracesHoldNoWideEvent)
+{
+    // Every workload's addresses sit within a few MB above the arena
+    // base, its counts below 2^16 and its PCs in a table of a dozen,
+    // so each recorded event takes one 8-byte record plus its value.
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        const std::vector<ThreadTrace> traces =
+            recordPreciseTraces(name, 1, 0.05, nullptr);
+        u64 events = 0;
+        for (const ThreadTrace &trace : traces) {
+            const std::vector<TraceEvent> evs = decoded(trace);
+            events += evs.size();
+            std::size_t valueBytes = 0;
+            for (const TraceEvent &ev : evs)
+                valueBytes += valueEntryBytes(ev.value);
+            EXPECT_EQ(trace.storageBytes(), 8 * evs.size() + valueBytes);
+        }
+        EXPECT_GT(events, 0u);
+    }
 }
 
 } // namespace

@@ -85,9 +85,13 @@ cmdRecord(int argc, char **argv)
     TraceRecorder rec(params.threads);
     w->run(rec);
     writeTraces(rec.traces(), argv[3]);
-    std::printf("recorded %llu events (%llu instructions) from %s "
-                "into %s\n",
+    u64 bytes = 0;
+    for (const ThreadTrace &trace : rec.traces())
+        bytes += trace.storageBytes();
+    std::printf("recorded %llu events, %llu bytes in memory (%llu "
+                "instructions) from %s into %s\n",
                 static_cast<unsigned long long>(rec.totalEvents()),
+                static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(
                     rec.totalInstructions()),
                 argv[2], argv[3]);
